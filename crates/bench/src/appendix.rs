@@ -43,19 +43,10 @@ fn study_prefix() -> Prefix {
 }
 
 /// Appendix A (Figure 3): unicast withdrawal convergence for one origin
-/// profile across `instances` independently generated Internets.
-pub fn withdrawal_convergence(
-    cfg: &ExperimentConfig,
-    timing: &BgpTimingConfig,
-    profile: OriginProfile,
-    instances: usize,
-) -> StudyOutput {
-    withdrawal_convergence_instrumented(cfg, timing, profile, instances, 1).0
-}
-
-/// [`withdrawal_convergence`] with the instance loop fanned over `jobs`
-/// runner threads, plus per-instance perf counters. Instances are folded
-/// in index order, so the output is identical for any `jobs` value.
+/// profile across `instances` independently generated Internets, fanned
+/// over `jobs` runner threads, plus per-instance perf counters. Instances
+/// are folded in index order, so the output is identical for any `jobs`
+/// value.
 pub fn withdrawal_convergence_instrumented(
     cfg: &ExperimentConfig,
     timing: &BgpTimingConfig,
@@ -138,21 +129,10 @@ pub fn withdrawal_convergence_instrumented(
 /// `origins_per_instance > 1` models the Manycast2-like population (the
 /// same prefix announced from several independent origins at once);
 /// `origins_per_instance == 1` with [`OriginProfile::PeeringTestbed`]
-/// models the paper's own PEERING announcements.
-pub fn announcement_propagation(
-    cfg: &ExperimentConfig,
-    timing: &BgpTimingConfig,
-    profile: OriginProfile,
-    origins_per_instance: usize,
-    instances: usize,
-) -> StudyOutput {
-    announcement_propagation_instrumented(cfg, timing, profile, origins_per_instance, instances, 1)
-        .0
-}
-
-/// [`announcement_propagation`] with the instance loop fanned over `jobs`
-/// runner threads, plus per-instance perf counters. Instances are folded
-/// in index order, so the output is identical for any `jobs` value.
+/// models the paper's own PEERING announcements. The instance loop is
+/// fanned over `jobs` runner threads and folded in index order, so the
+/// output is identical for any `jobs` value; per-instance perf counters
+/// ride along.
 pub fn announcement_propagation_instrumented(
     cfg: &ExperimentConfig,
     timing: &BgpTimingConfig,
@@ -242,7 +222,8 @@ mod tests {
     #[test]
     fn withdrawal_study_produces_samples() {
         let cfg = quick_cfg();
-        let out = withdrawal_convergence(&cfg, &cfg.timing, OriginProfile::Hypergiant, 2);
+        let (out, _) =
+            withdrawal_convergence_instrumented(&cfg, &cfg.timing, OriginProfile::Hypergiant, 2, 1);
         assert!(!out.samples.is_empty());
         assert!(out.samples.iter().all(|s| *s >= 0.0));
         // Samples measured from the true instant are positive and bounded
@@ -255,7 +236,14 @@ mod tests {
     #[test]
     fn propagation_study_is_fast_scale() {
         let cfg = quick_cfg();
-        let out = announcement_propagation(&cfg, &cfg.timing, OriginProfile::PeeringTestbed, 1, 2);
+        let (out, _) = announcement_propagation_instrumented(
+            &cfg,
+            &cfg.timing,
+            OriginProfile::PeeringTestbed,
+            1,
+            2,
+            1,
+        );
         assert!(!out.samples.is_empty());
         let cdf = Cdf::new(out.samples.clone());
         // Propagation is on the seconds scale, far below convergence.
@@ -266,8 +254,9 @@ mod tests {
     fn withdrawal_slower_than_propagation() {
         // The core Appendix A-vs-B relation, at tiny scale.
         let cfg = quick_cfg();
-        let wd = withdrawal_convergence(&cfg, &cfg.timing, OriginProfile::PeeringTestbed, 2);
-        let pr = announcement_propagation(&cfg, &cfg.timing, OriginProfile::PeeringTestbed, 1, 2);
+        let profile = OriginProfile::PeeringTestbed;
+        let (wd, _) = withdrawal_convergence_instrumented(&cfg, &cfg.timing, profile, 2, 1);
+        let (pr, _) = announcement_propagation_instrumented(&cfg, &cfg.timing, profile, 1, 2, 1);
         let wd_med = Cdf::new(wd.samples).median().unwrap();
         let pr_med = Cdf::new(pr.samples).median().unwrap();
         assert!(

@@ -10,50 +10,27 @@ use bobw_bench::appendix::{
     announcement_propagation_instrumented, withdrawal_convergence_instrumented,
 };
 use bobw_bench::{
-    compute_appc1, compute_table1_dispatch, parse_cli, primed_testbed, run_cells,
-    run_failover_grid_dispatch, run_or_exit, write_json, CellRecord, PerfLog, Scale,
-    TechniqueSeries,
+    compute_appc1, compute_table1_dispatch, parse_cli, run_cells, run_failover_grid_dispatch,
+    run_or_exit, write_json, PerfLog, Scale, TechniqueSeries,
 };
 use bobw_core::{
-    derive_tradeoffs, run_unicast_dns_failover, CellPerf, DnsClientConfig, MeasuredTechnique,
-    Technique,
+    derive_tradeoffs, run_unicast_dns_failover, DnsClientConfig, MeasuredTechnique, Technique,
+    Testbed,
 };
 use bobw_dns::{ClientPopulation, DnsFailoverConfig};
 use bobw_event::RngFactory;
 use bobw_measure::{cdf_row, markdown_table, percent, Cdf};
 use bobw_topology::OriginProfile;
 
-/// Appends one appendix study's per-instance counters to the perf log.
-fn push_study_cells(
-    perf: &mut PerfLog,
-    study: &str,
-    population: &str,
-    seed: u64,
-    ps: Vec<CellPerf>,
-) {
-    for p in ps {
-        perf.cells.push(CellRecord {
-            technique: study.to_string(),
-            site: population.to_string(),
-            seed,
-            events_processed: p.events_processed,
-            peak_queue_depth: p.peak_queue_depth,
-            queue_capacity: p.queue_capacity,
-            wall_micros: p.wall_micros,
-        });
-    }
-}
-
 fn main() {
     let cli = parse_cli();
     let mut dispatch = cli.dispatch();
-    let cfg = cli.scale.config(cli.seed);
-    let testbed = primed_testbed(&cli);
-    // Perf counters from every stage; summarized at the end of
-    // SUMMARY.md and dumped to BENCH_repro_all.json (NOT under results/,
-    // whose JSON must be byte-identical across --jobs and hosts).
+    let testbed = Testbed::new(cli.scale.config(cli.seed));
+    let cfg = &testbed.cfg;
+    // Perf counters from every stage, summarized at the end of SUMMARY.md
+    // (NOT in results/*.json, which must be byte-identical across --jobs
+    // and hosts).
     let mut perf = PerfLog::new(cli.jobs);
-    perf.scale = cli.scale.name().to_string();
     let mut md = String::new();
     let _ = writeln!(
         md,
@@ -228,22 +205,23 @@ fn main() {
     eprintln!("[5/8] figure 3 ...");
     let stage = std::time::Instant::now();
     let (f3h, ph) = withdrawal_convergence_instrumented(
-        &cfg,
+        cfg,
         &cfg.timing,
         OriginProfile::Hypergiant,
         instances,
         cli.jobs,
     );
     let (f3p, pp) = withdrawal_convergence_instrumented(
-        &cfg,
+        cfg,
         &cfg.timing,
         OriginProfile::PeeringTestbed,
         instances,
         cli.jobs,
     );
     perf.elapsed_micros += stage.elapsed().as_micros() as u64;
-    push_study_cells(&mut perf, "fig3-withdrawal", &f3h.population, cli.seed, ph);
-    push_study_cells(&mut perf, "fig3-withdrawal", &f3p.population, cli.seed, pp);
+    for p in ph.into_iter().chain(pp) {
+        perf.push("fig3-withdrawal", p);
+    }
     let _ = writeln!(md, "## Figure 3 — withdrawal convergence\n```");
     let _ = writeln!(
         md,
@@ -257,7 +235,7 @@ fn main() {
     eprintln!("[6/8] figure 4 ...");
     let stage = std::time::Instant::now();
     let (f4m, pm) = announcement_propagation_instrumented(
-        &cfg,
+        cfg,
         &cfg.timing,
         OriginProfile::Hypergiant,
         3,
@@ -265,7 +243,7 @@ fn main() {
         cli.jobs,
     );
     let (f4p, pp) = announcement_propagation_instrumented(
-        &cfg,
+        cfg,
         &cfg.timing,
         OriginProfile::PeeringTestbed,
         1,
@@ -273,8 +251,9 @@ fn main() {
         cli.jobs,
     );
     perf.elapsed_micros += stage.elapsed().as_micros() as u64;
-    push_study_cells(&mut perf, "fig4-propagation", &f4m.population, cli.seed, pm);
-    push_study_cells(&mut perf, "fig4-propagation", &f4p.population, cli.seed, pp);
+    for p in pm.into_iter().chain(pp) {
+        perf.push("fig4-propagation", p);
+    }
     let _ = writeln!(md, "## Figure 4 — announcement propagation\n```");
     let _ = writeln!(
         md,
@@ -338,16 +317,6 @@ fn main() {
 
     // ---------------- Runner perf trajectory ----------------
     let _ = writeln!(md, "{}", perf.markdown_section());
-    match serde_json::to_string_pretty(&perf) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write("BENCH_repro_all.json", s) {
-                eprintln!("warning: cannot write BENCH_repro_all.json: {e}");
-            } else {
-                eprintln!("wrote BENCH_repro_all.json");
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize perf log: {e}"),
-    }
 
     // ---------------- Write summary ----------------
     let path = cli.out_dir.join("SUMMARY.md");

@@ -16,10 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use bobw_bench::{
-    load_queue_hints, parse_cli, run_or_exit, write_json, CellRecord, PerfLog, TechniqueSeries,
-    BASELINE_FILE,
-};
+use bobw_bench::{parse_cli, run_or_exit, write_json, PerfLog, TechniqueSeries};
 use bobw_core::{FailoverResult, SessionModel, Technique, Testbed};
 use bobw_dist::{CellOutput, CellSpec};
 use bobw_measure::{cdf_row, percent};
@@ -62,10 +59,8 @@ fn main() {
     }
     let mut techniques = Technique::figure2_set();
     techniques.push(Technique::Combined);
-    let hints = load_queue_hints(BASELINE_FILE, cli.scale);
 
     let mut perf = PerfLog::new(cli.jobs);
-    perf.scale = cli.scale.name().to_string();
     // Scenario name → technique name → matrix cell.
     let mut matrix: BTreeMap<String, BTreeMap<String, MatrixCell>> = BTreeMap::new();
     let mut md = String::new();
@@ -119,8 +114,7 @@ fn main() {
             cfg.timing.flap_damping = Some(bobw_bgp::DampingConfig::default());
         }
         cfg.scenario = Some(scenario.clone());
-        let mut tb = Testbed::new(cfg);
-        tb.prime_queue_hints(hints.clone());
+        let tb = Testbed::new(cfg);
         // "$site" fans the scenario over every site, like the paper grid;
         // a concrete site name pins it (e.g. a regional partition around
         // one deployment).
@@ -148,15 +142,7 @@ fn main() {
                 run_or_exit::<()>(Err(format!("cell {i}: control output for a failover cell")));
                 unreachable!();
             };
-            perf.cells.push(CellRecord {
-                technique: techniques[ti].name(),
-                site: result.site_name.clone(),
-                seed: tb.cfg.seed,
-                events_processed: p.events_processed,
-                peak_queue_depth: p.peak_queue_depth,
-                queue_capacity: p.queue_capacity,
-                wall_micros: p.wall_micros,
-            });
+            perf.push(techniques[ti].name(), p);
             grouped[ti].push(result);
         }
         let series: Vec<TechniqueSeries> = techniques
@@ -202,16 +188,6 @@ fn main() {
     let _ = writeln!(md, "{}", perf.markdown_section());
 
     write_json(&cli, "scenario_matrix", &matrix);
-    match serde_json::to_string_pretty(&perf) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write("BENCH_scenarios.json", s) {
-                eprintln!("warning: cannot write BENCH_scenarios.json: {e}");
-            } else {
-                eprintln!("wrote BENCH_scenarios.json");
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize perf log: {e}"),
-    }
 
     // Append to the summary (repro_all rewrites it wholesale; the scenario
     // matrix rides behind whatever is there).

@@ -20,10 +20,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use bobw_bench::{
-    load_queue_hints, parse_cli, run_or_exit, write_json, CellRecord, PerfLog,
-    WeightedTechniqueSeries, BASELINE_FILE,
-};
+use bobw_bench::{parse_cli, run_or_exit, write_json, PerfLog, WeightedTechniqueSeries};
 use bobw_core::{FailoverResult, Technique, Testbed, TrafficConfig};
 use bobw_dist::{CellOutput, CellSpec};
 use bobw_measure::percent;
@@ -91,10 +88,8 @@ fn main() {
         Technique::ReactiveAnycast,
         Technique::Combined,
     ];
-    let hints = load_queue_hints(BASELINE_FILE, cli.scale);
 
     let mut perf = PerfLog::new(cli.jobs);
-    perf.scale = cli.scale.name().to_string();
     // Scenario name → technique name → matrix cell.
     let mut matrix: BTreeMap<String, BTreeMap<String, TrafficMatrixCell>> = BTreeMap::new();
     let mut md = String::new();
@@ -128,8 +123,7 @@ fn main() {
         let mut cfg = cli.scale.config(cli.seed);
         cfg.scenario = Some(scenario.clone());
         cfg.traffic = Some(TrafficConfig::default());
-        let mut tb = Testbed::new(cfg);
-        tb.prime_queue_hints(hints.clone());
+        let tb = Testbed::new(cfg);
         let sites: Vec<String> = if scenario.site == "$site" {
             tb.cdn.sites().map(|s| tb.cdn.name(s).to_string()).collect()
         } else {
@@ -154,15 +148,7 @@ fn main() {
                 run_or_exit::<()>(Err(format!("cell {i}: control output for a failover cell")));
                 unreachable!();
             };
-            perf.cells.push(CellRecord {
-                technique: techniques[ti].name(),
-                site: result.site_name.clone(),
-                seed: tb.cfg.seed,
-                events_processed: p.events_processed,
-                peak_queue_depth: p.peak_queue_depth,
-                queue_capacity: p.queue_capacity,
-                wall_micros: p.wall_micros,
-            });
+            perf.push(techniques[ti].name(), p);
             grouped[ti].push(result);
         }
         let series: Vec<WeightedTechniqueSeries> = techniques
@@ -224,16 +210,6 @@ fn main() {
     let _ = writeln!(md, "{}", perf.markdown_section());
 
     write_json(&cli, "traffic_matrix", &matrix);
-    match serde_json::to_string_pretty(&perf) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write("BENCH_traffic.json", s) {
-                eprintln!("warning: cannot write BENCH_traffic.json: {e}");
-            } else {
-                eprintln!("wrote BENCH_traffic.json");
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize perf log: {e}"),
-    }
 
     // Append to the summary (repro_all rewrites it wholesale; the traffic
     // matrix rides behind whatever is there).

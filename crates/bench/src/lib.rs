@@ -5,16 +5,9 @@
 //!
 //! | binary | paper artifact |
 //! |---|---|
-//! | `fig2` | Figure 2 — reconnection & failover CDFs per technique |
-//! | `table1` | Table 1 — traffic control under prepending |
-//! | `table2` | Table 2 — control/availability/risk matrix |
-//! | `fig3` | Appendix A / Figure 3 — withdrawal convergence |
-//! | `fig4` | Appendix B / Figure 4 — announcement propagation |
-//! | `fig5` | Appendix C.2 / Figure 5 — prepend 3 vs 5 |
-//! | `appc1` | Appendix C.1 — divergence classification |
+//! | `repro_all` | Figures 2–5, Tables 1–2, Appendix C.1, plus a markdown summary |
 //! | `superprefix_survey` | §3 — covering-prefix survey pipeline |
 //! | `unicast_dns` | §1/§2 — DNS-bound unicast failover baseline |
-//! | `repro_all` | everything above, plus a markdown summary |
 //! | `calibrate` | raw timing-model calibration check |
 //!
 //! Every binary accepts `--scale quick|eval|large` (default `eval`),
@@ -37,8 +30,7 @@ pub mod appendix;
 pub mod runner;
 
 pub use runner::{
-    default_jobs, run_cells, run_failover_grid, run_failover_grid_dispatch, run_or_exit,
-    CellRecord, Dispatch, PerfLog,
+    default_jobs, run_cells, run_failover_grid_dispatch, run_or_exit, CellRecord, Dispatch, PerfLog,
 };
 
 /// Experiment scale selected on the command line.
@@ -53,8 +45,7 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// The scale's command-line name (also the `scale` field of
-    /// `BENCH_*.json` perf logs).
+    /// The scale's command-line name.
     pub fn name(self) -> &'static str {
         match self {
             Scale::Quick => "quick",
@@ -86,9 +77,9 @@ pub struct Cli {
     /// Worker threads for the experiment runner (default: available
     /// parallelism). Any value produces byte-identical result JSON.
     pub jobs: usize,
-    /// Endpoint to serve cells on (`--dispatch tcp://…|unix://…` or
-    /// `--listen …`). `None` (or `--dispatch local`) runs cells on `jobs`
-    /// local threads. Either way the result JSON is byte-identical.
+    /// Where cells run (`--dispatch tcp://…|unix://…|daemon:<url>`).
+    /// `None` (or `--dispatch local`) runs them on `jobs` local threads.
+    /// Either way the result JSON is byte-identical.
     pub listen: Option<String>,
     /// Fault-scenario catalog directory (`scenarios` bin only).
     pub catalog: PathBuf,
@@ -134,61 +125,13 @@ impl Cli {
             }
         }
     }
-
-    /// Applies the `BOBW_JOBS` / `BOBW_DISPATCH` environment overrides —
-    /// the runner knobs for harnesses that own `argv` (the criterion
-    /// benches, examples run under `cargo run --example`). Explicit
-    /// `--jobs`/`--dispatch` flags win because [`parse_cli`] applies the
-    /// environment before parsing. Malformed values warn and are ignored
-    /// rather than aborting: a stray variable must not kill a bench run.
-    pub fn apply_env(&mut self) {
-        if let Ok(v) = std::env::var("BOBW_JOBS") {
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => self.jobs = n,
-                _ => eprintln!("warning: ignoring BOBW_JOBS={v:?} (need an integer >= 1)"),
-            }
-        }
-        if let Ok(v) = std::env::var("BOBW_DISPATCH") {
-            self.listen = if v == "local" || v.is_empty() {
-                None
-            } else {
-                Some(v)
-            };
-        }
-    }
 }
 
-/// [`Dispatch`] for criterion benches, honoring `BOBW_JOBS` and
-/// `BOBW_DISPATCH` (criterion owns `argv`, so the usual flags cannot reach
-/// those harnesses). Defaults to one local worker thread — not available
-/// parallelism — so microbenchmark timings stay comparable run to run
-/// unless the operator explicitly opts into parallel or remote cells.
-pub fn env_dispatch() -> Dispatch {
-    let mut cli = Cli {
-        jobs: 1,
-        ..Cli::default()
-    };
-    cli.apply_env();
-    cli.dispatch()
-}
-
-/// The jobs count criterion benches should pass to helpers that take a
-/// plain thread count (`BOBW_JOBS`, default 1 — see [`env_dispatch`]).
-pub fn env_jobs() -> usize {
-    let mut cli = Cli {
-        jobs: 1,
-        ..Cli::default()
-    };
-    cli.apply_env();
-    cli.jobs
-}
-
-/// Parses `--scale`, `--seed`, `--out`, `--jobs` from the process
-/// arguments; exits with a usage message on unknown flags. `BOBW_JOBS`
-/// and `BOBW_DISPATCH` seed the defaults (flags override).
+/// Parses `--scale`, `--seed`, `--out`, `--jobs`, `--dispatch` and
+/// `--catalog` from the process arguments; exits 2 with the list of
+/// supported flags on anything else.
 pub fn parse_cli() -> Cli {
     let mut cli = Cli::default();
-    cli.apply_env();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -236,12 +179,6 @@ pub fn parse_cli() -> Cli {
                 });
                 cli.listen = if v == "local" { None } else { Some(v) };
             }
-            "--listen" => {
-                cli.listen = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--listen needs an endpoint URL (tcp://…|unix://…)");
-                    std::process::exit(2);
-                }));
-            }
             "--catalog" => {
                 cli.catalog = PathBuf::from(args.next().unwrap_or_else(|| {
                     eprintln!("--catalog needs a directory");
@@ -251,57 +188,13 @@ pub fn parse_cli() -> Cli {
             other => {
                 eprintln!(
                     "unknown flag {other:?}; supported: --scale --seed --out --jobs \
-                     --dispatch --listen --catalog"
+                     --dispatch --catalog"
                 );
                 std::process::exit(2);
             }
         }
     }
     cli
-}
-
-/// The checked-in perf baseline consulted for queue-preallocation hints.
-pub const BASELINE_FILE: &str = "BENCH_baseline.json";
-
-/// Reads per-technique queue-depth peaks from a `BENCH_*.json` perf log,
-/// ignoring it entirely when it was measured at a different scale (a
-/// quick-scale peak would under-allocate an eval run; an eval peak would
-/// waste memory on a quick one). Missing or malformed files yield an
-/// empty map — hints are an optimization, never a requirement.
-pub fn load_queue_hints(path: &str, scale: Scale) -> BTreeMap<String, usize> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return BTreeMap::new();
-    };
-    let Ok(root) = serde_json::from_str(&text) else {
-        return BTreeMap::new();
-    };
-    if root.get("scale").and_then(serde::Value::as_str) != Some(scale.name()) {
-        return BTreeMap::new();
-    }
-    let Some(cells) = root.get("cells").and_then(serde::Value::as_array) else {
-        return BTreeMap::new();
-    };
-    let mut hints = BTreeMap::new();
-    for cell in cells {
-        let (Some(technique), Some(depth)) = (
-            cell.get("technique").and_then(serde::Value::as_str),
-            cell.get("peak_queue_depth").and_then(serde::Value::as_u64),
-        ) else {
-            continue;
-        };
-        let e = hints.entry(technique.to_string()).or_insert(0usize);
-        *e = (*e).max(depth as usize);
-    }
-    hints
-}
-
-/// Builds the testbed for a CLI invocation, primed with the checked-in
-/// baseline's per-technique queue peaks so the first cell of the run
-/// preallocates its event queue too.
-pub fn primed_testbed(cli: &Cli) -> Testbed {
-    let mut tb = Testbed::new(cli.scale.config(cli.seed));
-    tb.prime_queue_hints(load_queue_hints(BASELINE_FILE, cli.scale));
-    tb
 }
 
 /// Writes a JSON result file under the CLI's output directory.
@@ -323,20 +216,9 @@ pub fn write_json<T: Serialize>(cli: &Cli, name: &str, value: &T) {
     }
 }
 
-/// Runs one technique across every site of the testbed on `jobs` worker
-/// threads, returning per-site results in site order (identical for any
-/// `jobs` value).
-pub fn run_technique_all_sites(
-    testbed: &Testbed,
-    technique: &Technique,
-    jobs: usize,
-) -> Vec<FailoverResult> {
-    let (mut grouped, _) = run_failover_grid(testbed, std::slice::from_ref(technique), jobs);
-    grouped.pop().expect("one technique in, one group out")
-}
-
-/// [`run_technique_all_sites`] over an explicit [`Dispatch`], also
-/// returning the perf log.
+/// Runs one technique across every site of the testbed over `dispatch`,
+/// returning per-site results in site order (identical for any worker
+/// count or dispatch mode) plus the perf log.
 pub fn run_technique_all_sites_dispatch(
     testbed: &Testbed,
     technique: &Technique,
@@ -508,16 +390,9 @@ pub struct Table1 {
     pub rows: BTreeMap<String, (f64, Vec<(u8, f64)>)>,
 }
 
-/// Computes Table 1 across sites on `jobs` worker threads.
-pub fn compute_table1(testbed: &Testbed, prepend_counts: &[u8], jobs: usize) -> Table1 {
-    compute_table1_dispatch(testbed, prepend_counts, &mut Dispatch::local(jobs))
-        .expect("local dispatch cannot fail on well-formed cells")
-        .0
-}
-
-/// [`compute_table1`] over an explicit [`Dispatch`], also returning the
-/// perf log — control cells are counted in `PerfLog` under the pseudo
-/// technique name `control`, mirroring the failover grid's records.
+/// Computes Table 1 across sites over `dispatch`, also returning the perf
+/// log — control cells are counted in `PerfLog` under the pseudo technique
+/// name `control`, mirroring the failover grid's records.
 pub fn compute_table1_dispatch(
     testbed: &Testbed,
     prepend_counts: &[u8],
@@ -547,15 +422,7 @@ pub fn compute_table1_dispatch(
                 return Err(format!("cell {i}: failover output for a control cell"));
             }
         };
-        log.cells.push(CellRecord {
-            technique: "control".to_string(),
-            site: r.site_name.clone(),
-            seed: testbed.cfg.seed,
-            events_processed: perf.events_processed,
-            peak_queue_depth: perf.peak_queue_depth,
-            queue_capacity: perf.queue_capacity,
-            wall_micros: perf.wall_micros,
-        });
+        log.push("control", perf);
         rows.insert(r.site_name, (r.frac_not_anycast_routed, r.steered));
     }
     Ok((Table1 { site_order, rows }, log))
@@ -574,6 +441,12 @@ pub fn compute_appc1(
 mod tests {
     use super::*;
     use bobw_core::run_failover;
+
+    fn run_technique_all_sites(tb: &Testbed, t: &Technique, jobs: usize) -> Vec<FailoverResult> {
+        run_technique_all_sites_dispatch(tb, t, &mut Dispatch::local(jobs))
+            .expect("local dispatch cannot fail on well-formed cells")
+            .0
+    }
 
     #[test]
     fn scale_configs_differ() {

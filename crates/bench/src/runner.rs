@@ -17,18 +17,17 @@
 //! Together these guarantee that `--jobs N` produces byte-identical
 //! `results/*.json` to `--jobs 1`. Host-dependent measurements (wall time)
 //! are kept out of the result JSON entirely and flow through [`PerfLog`]
-//! into `results/SUMMARY.md` and `BENCH_*.json` artifacts instead.
+//! into `results/SUMMARY.md` instead.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use bobw_core::{FailoverResult, Technique, Testbed};
+use bobw_core::{CellPerf, FailoverResult, Technique, Testbed};
 use bobw_dist::{
     execute_cell, install_sigint_handler, AuthSecret, CellOutput, CellSpec, Coordinator,
     CoordinatorConfig, Endpoint,
 };
 use bobw_serve::{JobState, ServeClient};
-use serde::Serialize;
 
 /// Number of worker threads to use when `--jobs` is not given.
 pub fn default_jobs() -> usize {
@@ -138,7 +137,7 @@ impl Dispatch {
         Ok(Dispatch::Daemon { client, label })
     }
 
-    /// Parses a `--dispatch` / `BOBW_DISPATCH` value: `local`, a
+    /// Parses a `--dispatch` value: `local`, a
     /// coordinator bind URL (`tcp://…`/`unix://…`), or `daemon:<url>` for
     /// a persistent service.
     pub fn from_arg(arg: &str, jobs: usize) -> Result<Dispatch, String> {
@@ -230,32 +229,22 @@ pub fn run_or_exit<T>(r: Result<T, String>) -> T {
     })
 }
 
-/// Perf counters for one executed cell, keyed by what the cell was.
-#[derive(Debug, Clone, Serialize)]
+/// Perf counters for one executed cell, keyed by its technique (or the
+/// pseudo technique of a control / appendix-study cell).
+#[derive(Debug, Clone)]
 pub struct CellRecord {
     pub technique: String,
-    pub site: String,
-    pub seed: u64,
-    pub events_processed: u64,
-    pub peak_queue_depth: usize,
-    /// Final capacity of the event queue's hot lane — compared against
-    /// `peak_queue_depth` it shows whether the high-water-mark
-    /// preallocation avoided regrowth for this cell.
-    pub queue_capacity: usize,
-    pub wall_micros: u64,
+    pub perf: CellPerf,
 }
 
 /// Perf trajectory of one or more runner batches: every cell's counters
-/// plus the batch-level wall time and worker count. Serialized to
-/// `BENCH_*.json` and summarized in `results/SUMMARY.md` — never into
-/// `results/*.json`, which must stay byte-identical across `--jobs`.
-#[derive(Debug, Clone, Default, Serialize)]
+/// plus the batch-level wall time and worker count. Summarized in
+/// `results/SUMMARY.md` — never written into `results/*.json`, which must
+/// stay byte-identical across `--jobs`.
+#[derive(Debug, Clone, Default)]
 pub struct PerfLog {
     /// Worker threads the batches ran with.
     pub jobs: usize,
-    /// Experiment scale the cells ran at (`quick`/`eval`/`large`); lets a
-    /// baseline consumer refuse hints measured at a different scale.
-    pub scale: String,
     /// Wall time of the batches end to end (elapsed, not summed per cell).
     pub elapsed_micros: u64,
     pub cells: Vec<CellRecord>,
@@ -269,6 +258,14 @@ impl PerfLog {
         }
     }
 
+    /// Appends one executed cell's counters.
+    pub fn push(&mut self, technique: impl Into<String>, perf: CellPerf) {
+        self.cells.push(CellRecord {
+            technique: technique.into(),
+            perf,
+        });
+    }
+
     /// Folds another batch into this log (cells append, elapsed adds,
     /// worker count takes the max — distributed workers may still be
     /// attaching when the first batch starts).
@@ -279,26 +276,15 @@ impl PerfLog {
     }
 
     pub fn total_events(&self) -> u64 {
-        self.cells.iter().map(|c| c.events_processed).sum()
+        self.cells.iter().map(|c| c.perf.events_processed).sum()
     }
 
     pub fn max_queue_depth(&self) -> usize {
         self.cells
             .iter()
-            .map(|c| c.peak_queue_depth)
+            .map(|c| c.perf.peak_queue_depth)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Per-technique queue-depth peaks — what `Testbed::prime_queue_hints`
-    /// consumes on the next run so its first cell preallocates.
-    pub fn queue_hints(&self) -> std::collections::BTreeMap<String, usize> {
-        let mut hints = std::collections::BTreeMap::new();
-        for c in &self.cells {
-            let e = hints.entry(c.technique.clone()).or_insert(0usize);
-            *e = (*e).max(c.peak_queue_depth);
-        }
-        hints
     }
 
     /// Sum of per-cell wall times. The ratio against `elapsed_micros` is
@@ -307,7 +293,7 @@ impl PerfLog {
     /// oversubscription per-cell wall times inflate with timeslicing, so
     /// it must not be reported as wall-clock speedup.
     pub fn total_cell_micros(&self) -> u64 {
-        self.cells.iter().map(|c| c.wall_micros).sum()
+        self.cells.iter().map(|c| c.perf.wall_micros).sum()
     }
 
     /// Markdown section for `results/SUMMARY.md`: aggregate line plus a
@@ -345,9 +331,9 @@ impl PerfLog {
         for c in &self.cells {
             let e = by_tech.entry(&c.technique).or_default();
             e.0 += 1;
-            e.1 += c.events_processed;
-            e.2 = e.2.max(c.peak_queue_depth);
-            e.3 += c.wall_micros;
+            e.1 += c.perf.events_processed;
+            e.2 = e.2.max(c.perf.peak_queue_depth);
+            e.3 += c.perf.wall_micros;
         }
         for (tech, (cells, events, peak, micros)) in by_tech {
             let _ = writeln!(
@@ -368,18 +354,9 @@ impl PerfLog {
 /// Pooling all techniques into a single queue keeps the workers busy
 /// across technique boundaries: a slow technique's last sites overlap with
 /// the next technique's first sites instead of serializing on a barrier.
-pub fn run_failover_grid(
-    testbed: &Testbed,
-    techniques: &[Technique],
-    jobs: usize,
-) -> (Vec<Vec<FailoverResult>>, PerfLog) {
-    run_failover_grid_dispatch(testbed, techniques, &mut Dispatch::local(jobs))
-        .expect("local dispatch cannot fail on well-formed cells")
-}
-
-/// [`run_failover_grid`] over an explicit [`Dispatch`] — the same cell
-/// enumeration and index-ordered merge whether cells run on local threads
-/// or on remote workers.
+///
+/// The cell enumeration and index-ordered merge are the same whether
+/// `dispatch` runs cells on local threads or on remote workers.
 pub fn run_failover_grid_dispatch(
     testbed: &Testbed,
     techniques: &[Technique],
@@ -408,15 +385,7 @@ pub fn run_failover_grid_dispatch(
                 return Err(format!("cell {i}: control output for a failover cell"));
             }
         };
-        log.cells.push(CellRecord {
-            technique: techniques[ti].name(),
-            site: result.site_name.clone(),
-            seed: testbed.cfg.seed,
-            events_processed: perf.events_processed,
-            peak_queue_depth: perf.peak_queue_depth,
-            queue_capacity: perf.queue_capacity,
-            wall_micros: perf.wall_micros,
-        });
+        log.push(techniques[ti].name(), perf);
         grouped[ti].push(result);
     }
     Ok((grouped, log))
@@ -458,8 +427,10 @@ mod tests {
         cfg.probe.duration = bobw_event::SimDuration::from_secs(45);
         let tb = Testbed::new(cfg);
         let techniques = [Technique::Anycast, Technique::ReactiveAnycast];
-        let (par, log) = run_failover_grid(&tb, &techniques, 4);
-        let (seq, _) = run_failover_grid(&tb, &techniques, 1);
+        let (par, log) =
+            run_failover_grid_dispatch(&tb, &techniques, &mut Dispatch::local(4)).unwrap();
+        let (seq, _) =
+            run_failover_grid_dispatch(&tb, &techniques, &mut Dispatch::local(1)).unwrap();
         assert_eq!(par.len(), 2);
         for (p, s) in par.iter().zip(&seq) {
             assert_eq!(p.len(), tb.cdn.num_sites());

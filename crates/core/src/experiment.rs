@@ -192,10 +192,6 @@ pub struct Testbed {
     /// same testbed are statistically alike, so one cell's peak is a good
     /// starting capacity for the next).
     queue_hint: AtomicUsize,
-    /// Per-technique queue-depth peaks persisted by a *previous* run
-    /// (`BENCH_baseline.json`), so even the first cell preallocates.
-    /// Same contract as `queue_hint`: allocation only, never results.
-    primed_hints: std::collections::BTreeMap<String, usize>,
     /// Per-session MRAI values and per-node RNG streams, sampled once; each
     /// cell stamps its simulator out of this instead of re-deriving ~two
     /// RNG streams per session (`BgpSim::from_seed` is byte-identical to
@@ -214,29 +210,14 @@ impl Testbed {
             cdn,
             rng,
             queue_hint: AtomicUsize::new(0),
-            primed_hints: std::collections::BTreeMap::new(),
             bgp_seed,
         }
-    }
-
-    /// Seeds per-technique queue hints from a persisted baseline (peak
-    /// queue depth by technique name). Call before the first cell runs.
-    pub fn prime_queue_hints(&mut self, hints: impl IntoIterator<Item = (String, usize)>) {
-        self.primed_hints.extend(hints);
     }
 
     /// Starting capacity for the next cell's event queue (0 until a cell
     /// has completed).
     pub fn queue_capacity_hint(&self) -> usize {
         self.queue_hint.load(Ordering::Relaxed)
-    }
-
-    /// Starting capacity for a cell running `technique`: whatever this
-    /// run has observed so far, or the primed baseline peak for that
-    /// technique — whichever is larger.
-    pub fn queue_capacity_hint_for(&self, technique: &str) -> usize {
-        self.queue_capacity_hint()
-            .max(self.primed_hints.get(technique).copied().unwrap_or(0))
     }
 
     /// Folds a finished cell's [`Engine::peak_pending`] into the hint.
@@ -749,7 +730,7 @@ fn apply_reaction_fault(
 /// Kept OUT of [`FailoverResult`] on purpose: wall-clock time is
 /// host-dependent, and `results/*.json` must stay byte-identical across
 /// `--jobs` settings and machines. Perf data flows to `results/SUMMARY.md`
-/// and `BENCH_*.json` artifacts instead.
+/// instead.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct CellPerf {
     /// Simulator events processed by the cell's engine.
@@ -758,7 +739,7 @@ pub struct CellPerf {
     pub peak_queue_depth: usize,
     /// Final capacity of the queue's hot lane — shows whether the
     /// high-water-mark preallocation actually avoided regrowth (capacity
-    /// at or near the primed hint means no reallocation happened).
+    /// at or near the hint means no reallocation happened).
     pub queue_capacity: usize,
     /// Host wall-clock time for the whole cell, in microseconds.
     pub wall_micros: u64,
@@ -837,8 +818,7 @@ pub fn try_run_failover_instrumented(
     )
     .map_err(|e| format!("scenario {:?}: {e}", scenario.name))?;
 
-    let mut engine: Engine<SimEvent> =
-        Engine::with_capacity(testbed.queue_capacity_hint_for(&technique.name()));
+    let mut engine: Engine<SimEvent> = Engine::with_capacity(testbed.queue_capacity_hint());
     let mut run = Run {
         topo,
         cdn,
@@ -1471,24 +1451,6 @@ mod tests {
         let dump = |r: &FailoverResult| format!("{r:?}");
         assert_eq!(dump(&second), dump(&first));
         assert_eq!(dump(&second), dump(&reference));
-    }
-
-    #[test]
-    fn primed_queue_hints_do_not_change_results() {
-        // A testbed primed from a persisted baseline (so its FIRST cell
-        // preallocates) must match a cold testbed byte for byte.
-        let cold = quick_testbed();
-        let mut primed = quick_testbed();
-        primed.prime_queue_hints([("anycast".to_string(), 4096)]);
-        assert_eq!(primed.queue_capacity_hint_for("anycast"), 4096);
-        assert_eq!(primed.queue_capacity_hint_for("unicast"), 0);
-        let site = cold.site("bos");
-        let (a, _) = run_failover_instrumented(&cold, &Technique::Anycast, site);
-        let (b, _) = run_failover_instrumented(&primed, &Technique::Anycast, site);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        // The in-run high-water mark still wins once it exceeds the prime.
-        primed.prime_queue_hints([("anycast".to_string(), 1)]);
-        assert!(primed.queue_capacity_hint_for("anycast") >= primed.queue_capacity_hint());
     }
 
     #[test]

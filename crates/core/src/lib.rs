@@ -31,7 +31,6 @@ pub mod control;
 pub mod divergence;
 pub mod dns_experiment;
 pub mod experiment;
-pub mod load;
 pub mod metrics;
 pub mod plan;
 pub mod targets;
@@ -46,7 +45,6 @@ pub use experiment::{
     run_failover, run_failover_instrumented, try_run_failover_instrumented, CellPerf,
     ExperimentConfig, FailoverResult, FailureMode, ReactionFault, SessionModel, Testbed,
 };
-pub use load::{anycast_load, apply_to_dns, assign_load_aware, Assignment, LoadModel};
 pub use metrics::{analyze_target, TargetOutcome};
 pub use plan::AddressPlan;
 pub use targets::select_targets;

@@ -1,9 +1,12 @@
 //! The wire codec: a compact, deterministic binary encoding plus a
 //! length-prefixed frame layer.
 //!
-//! The workspace's vendored serde stub serializes but cannot deserialize,
-//! so the distributed runner carries its own bincode-style codec. Encoding
-//! rules:
+//! The workspace can decode typed JSON (`serde_json::from_str_typed`), but
+//! cell results cross the wire in this bincode-style codec for two
+//! properties the JSON rendering does not have: `f64` keeps its exact bit
+//! pattern (the JSON renderer writes non-finite floats as `null`, and
+//! distributed results must be byte-identical to local ones), and every
+//! length is bounded before anything is allocated for it. Encoding rules:
 //!
 //! - fixed-width integers are little-endian;
 //! - `usize` travels as `u64` (checked on decode);

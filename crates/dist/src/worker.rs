@@ -307,9 +307,11 @@ fn cached_testbed(print: u64, build: impl FnOnce() -> Testbed) -> (Arc<Testbed>,
 
 /// A live heartbeat for one cell: a background thread sends
 /// [`FromWorker::Heartbeat`] every [`HEARTBEAT_INTERVAL`] until dropped.
-/// The thread waits on a condvar (not a plain sleep) so dropping the
-/// guard after a short cell returns immediately instead of stalling the
-/// work loop for the rest of the interval.
+/// The thread waits on a condvar (not a plain sleep), re-checking the
+/// stop flag under the lock before every wait, so dropping the guard after
+/// a short cell returns immediately — even when the cell finishes before
+/// the thread first takes the lock — instead of stalling the work loop for
+/// the rest of the interval.
 struct HeartbeatGuard {
     state: Arc<(Mutex<bool>, Condvar)>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -322,19 +324,20 @@ fn heartbeat_guard(writer: Arc<Mutex<Conn>>, batch_id: u64, cell_index: u64) -> 
         let (stopped, wake) = &*state2;
         let mut stopped = stopped.lock().unwrap();
         loop {
-            let (guard, timeout) = wake.wait_timeout(stopped, HEARTBEAT_INTERVAL).unwrap();
-            stopped = guard;
+            stopped = wake
+                .wait_timeout_while(stopped, HEARTBEAT_INTERVAL, |stopped| !*stopped)
+                .unwrap()
+                .0;
             if *stopped {
                 return;
             }
-            if timeout.timed_out() {
-                let beat = FromWorker::Heartbeat {
-                    batch_id,
-                    cell_index,
-                };
-                if send(&mut *writer.lock().unwrap(), &beat).is_err() {
-                    return; // connection gone; the main loop will notice too
-                }
+            // Not stopped, so the wait ran the whole interval.
+            let beat = FromWorker::Heartbeat {
+                batch_id,
+                cell_index,
+            };
+            if send(&mut *writer.lock().unwrap(), &beat).is_err() {
+                return; // connection gone; the main loop will notice too
             }
         }
     });
@@ -379,5 +382,33 @@ pub fn execute_cell(tb: &Testbed, cell: &CellSpec) -> Result<CellOutput, String>
             let (result, perf) = measure_control_instrumented(tb, site, prepends);
             Ok(CellOutput::Control(result, perf))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A guard dropped before its thread first takes the lock must not
+    /// lose the wake-up: 200 create-and-drop rounds finish in far less
+    /// than the one `HEARTBEAT_INTERVAL` a single lost wake-up costs.
+    #[test]
+    fn dropping_a_fresh_heartbeat_guard_does_not_wait_out_the_interval() {
+        let listener = Endpoint::parse("tcp://127.0.0.1:0")
+            .unwrap()
+            .bind()
+            .unwrap();
+        let conn = listener.local_endpoint().unwrap().connect().unwrap();
+        let _peer = listener.accept().unwrap();
+        let writer = Arc::new(Mutex::new(conn));
+        let started = std::time::Instant::now();
+        for i in 0..200 {
+            drop(heartbeat_guard(Arc::clone(&writer), 1, i));
+        }
+        assert!(
+            started.elapsed() < HEARTBEAT_INTERVAL / 2,
+            "200 guards took {:?}",
+            started.elapsed()
+        );
     }
 }

@@ -1,6 +1,5 @@
 //! Load-aware client-to-site mapping — the *other* half of the paper's
-//! case for control. (Migrated from `bobw-core::load`; `bobw-core`
-//! re-exports everything here for compatibility.)
+//! case for control.
 //!
 //! §3: "only the CDN has access to the service availability, server load,
 //! and internal software and hardware health information necessary to make

@@ -23,9 +23,8 @@
 //! keeps `traffic: None` runs byte-identical to builds that predate the
 //! subsystem.
 //!
-//! * [`assign`] — the static load snapshot (migrated from
-//!   `bobw-core::load`): demand sampling, capacity-constrained greedy
-//!   assignment, anycast catchment load.
+//! * [`assign`] — the static load snapshot: demand sampling,
+//!   capacity-constrained greedy assignment, anycast catchment load.
 //! * [`demand`] — time-varying demand: diurnal modulation, surges,
 //!   regional demand shifts.
 //! * [`sim`] — the per-experiment traffic simulation: tick accumulation,

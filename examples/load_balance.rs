@@ -12,11 +12,13 @@
 //! ```
 
 use bobw::bgp::{OriginConfig, Standalone};
-use bobw::core::{anycast_load, assign_load_aware, ExperimentConfig, LoadModel, Testbed};
+use bobw::core::{ExperimentConfig, Testbed};
 use bobw::dataplane::{catchment, ForwardEnv};
 use bobw::event::{SimDuration, SimTime};
 use bobw::net::Prefix;
-use bobw::traffic::{Steering, Surge, TrafficConfig, TrafficSim};
+use bobw::traffic::{
+    anycast_load, assign_load_aware, LoadModel, Steering, Surge, TrafficConfig, TrafficSim,
+};
 
 fn main() {
     let testbed = Testbed::new(ExperimentConfig::quick(64));
