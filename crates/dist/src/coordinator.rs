@@ -72,7 +72,10 @@ pub struct CoordinatorConfig {
     /// this long. Workers heartbeat every ~2 s, so the default tolerates
     /// ~15 missed beats before declaring a worker dead.
     pub lease_timeout: Duration,
-    /// Batch-loop tick: how often leases are checked for expiry.
+    /// The longest the batch loop (and the serve daemon's idle wait) blocks
+    /// without an event. It bounds two things only — how late an expired
+    /// lease is revoked and how late a Ctrl-C is noticed; worker frames and
+    /// [`WorkerPort::wake`] are events and never wait for it.
     pub tick: Duration,
     /// Shared handshake secret; when set, workers (and clients, on the
     /// serve daemon) must present a valid HMAC tag or are rejected.
@@ -108,6 +111,9 @@ enum Event {
     Disconnected {
         id: WorkerId,
     },
+    /// No worker changed: the host wants whoever blocks on the channel to
+    /// look at its own state now (see [`WorkerPort::wake`]).
+    Wake,
 }
 
 /// Coordinator-side view of one connected worker.
@@ -152,6 +158,15 @@ pub struct WorkerPort {
 }
 
 impl WorkerPort {
+    /// Makes a blocked [`Coordinator::pump_events`] return now instead of
+    /// at its timeout; a running batch loop re-polls the interrupt flag
+    /// and otherwise ignores it. The serve daemon calls this when a job
+    /// was queued or a client asked it to quit, so neither waits for a
+    /// tick.
+    pub fn wake(&self) {
+        let _ = self.tx.send(Event::Wake);
+    }
+
     /// Sends the [`Challenge`] that must precede any greeting. Returns
     /// the nonce the peer's credential has to bind.
     pub fn send_challenge(&self, writer: &mut Conn) -> io::Result<Vec<u8>> {
@@ -309,9 +324,10 @@ pub struct Coordinator {
     stop: Arc<AtomicBool>,
     cfg: CoordinatorConfig,
     next_batch: u64,
-    /// Optional live stats mirror for a metrics plane: refreshed from the
-    /// batch loop (and [`Coordinator::pump_events`]) so other threads can
-    /// read worker liveness without touching scheduler state.
+    /// Optional live stats mirror for a metrics plane: refreshed by the
+    /// batch loop whenever an event changed a worker or a lease was
+    /// revoked, and by every [`Coordinator::pump_events`], so other
+    /// threads can read worker liveness without touching scheduler state.
     stats_sink: Option<Arc<Mutex<Vec<WorkerStat>>>>,
     /// Kept so `bind` on `tcp://…:0` can report the real port.
     _accept: Option<std::thread::JoinHandle<()>>,
@@ -485,7 +501,9 @@ impl Coordinator {
                 leases.insert(cell, (id, Instant::now()));
             }
 
-            // One event or one tick.
+            // One event or one tick. Only an event that touched a
+            // `WorkerHandle` is worth republishing the stats for.
+            let mut workers_changed = true;
             match self.events.recv_timeout(self.cfg.tick) {
                 Ok(Event::Connected {
                     id,
@@ -580,7 +598,7 @@ impl Coordinator {
                         requeue(cell, &mut assignments, &mut pending)?;
                     }
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Ok(Event::Wake) | Err(mpsc::RecvTimeoutError::Timeout) => workers_changed = false,
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     return Err("coordinator event channel died".into());
                 }
@@ -596,6 +614,9 @@ impl Coordinator {
                 .filter(|(_, (_, heard))| now.duration_since(*heard) > self.cfg.lease_timeout)
                 .map(|(&cell, _)| cell)
                 .collect();
+            // A revocation is the one time a worker changes without an
+            // event: it went silent, and its `last_heard_s` should show it.
+            workers_changed |= !expired.is_empty();
             for cell in expired {
                 let (owner, _) = leases.remove(&cell).expect("just listed");
                 eprintln!(
@@ -605,7 +626,9 @@ impl Coordinator {
                 requeue(cell, &mut assignments, &mut pending)?;
             }
 
-            self.publish_stats();
+            if workers_changed {
+                self.publish_stats();
+            }
         }
 
         // Batch done: let workers idle until the next one.
@@ -617,11 +640,13 @@ impl Coordinator {
             .collect())
     }
 
-    /// Processes connection lifecycle events while no batch is running,
-    /// waiting up to `wait` for the first one. A long-lived daemon calls
-    /// this between jobs so idle-time connects/disconnects (and straggler
-    /// results from revoked leases) keep the worker table and metrics
-    /// fresh instead of queueing until the next batch.
+    /// Processes connection lifecycle events while no batch is running:
+    /// blocks until the first event or for `wait`, drains whatever else is
+    /// queued, and returns. A long-lived daemon idles here between jobs, so
+    /// connects/disconnects (and straggler results from revoked leases)
+    /// keep the worker table and metrics fresh, and a [`WorkerPort::wake`]
+    /// ends the wait at once — `wait` only bounds how long the caller goes
+    /// without polling its own flags (the daemon: Ctrl-C).
     pub fn pump_events(&mut self, wait: Duration) {
         let mut budget = Some(wait);
         loop {
@@ -661,6 +686,7 @@ impl Coordinator {
                 Event::Disconnected { id } => {
                     self.workers.remove(&id);
                 }
+                Event::Wake => {}
             }
         }
         self.publish_stats();

@@ -13,10 +13,17 @@
 //! condvar — a watcher attached late sees every cell exactly once, in
 //! completion order.
 //!
+//! Nothing on the job path polls. A submission (or `Quit`) wakes the idle
+//! scheduler through [`WorkerPort::wake`]; watchers park on the table
+//! condvar under a predicate, and whoever adds a cell, ends a job or
+//! raises `quit` notifies after doing so under the table lock. The
+//! configured tick only bounds how late an expired lease or a Ctrl-C is
+//! noticed.
+//!
 //! With `--state-dir`, job metadata, the submitted batch, and completed
-//! results are persisted as they change; a restarted daemon lists done
-//! jobs with their results and re-queues jobs that were interrupted
-//! mid-flight.
+//! results are persisted as they change — always with the table lock
+//! released; a restarted daemon lists done jobs with their results and
+//! re-queues jobs that were interrupted mid-flight.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -34,7 +41,7 @@ use bobw_dist::{
 };
 use serde::Serialize;
 
-use crate::job::{expand_spec, JobRow};
+use crate::job::{expand_spec, ExpandedJob, JobRow};
 use crate::proto::{ClientReply, ClientRequest, JobState, JobTask};
 
 /// How the daemon runs. [`ServeConfig::new`] picks the defaults the CLI
@@ -51,6 +58,8 @@ pub struct ServeConfig {
     /// Scenario catalog for spec expansion.
     pub catalog: PathBuf,
     pub lease_timeout: Duration,
+    /// See [`CoordinatorConfig::tick`]; also how long an idle daemon goes
+    /// between looks at the Ctrl-C flag. Job pickup never waits for it.
     pub tick: Duration,
 }
 
@@ -119,9 +128,13 @@ struct Table {
 
 struct Shared {
     table: Mutex<Table>,
-    /// Signals completed cells and state changes to watchers.
+    /// Signals completed cells, terminal states and `quit` to watchers.
+    /// They wait without a timeout, so every writer of those notifies
+    /// after touching them under the `table` lock.
     cv: Condvar,
     quit: AtomicBool,
+    /// Classifies worker connections, and wakes the idle scheduler.
+    port: WorkerPort,
     started: Instant,
     cells_completed: AtomicU64,
     worker_stats: Arc<Mutex<Vec<WorkerStat>>>,
@@ -131,6 +144,19 @@ struct Shared {
     /// The bound address (real port for `tcp://…:0`), used to poke the
     /// accept loop awake on shutdown.
     local: Endpoint,
+}
+
+impl Shared {
+    /// Raises `quit` so that no waiter can miss it: watchers read the flag
+    /// in their wait predicate with the table locked, so passing through
+    /// the lock between the store and the notify closes the window in
+    /// which one has checked but not yet parked.
+    fn request_quit(&self) {
+        self.quit.store(true, Ordering::SeqCst);
+        drop(self.table.lock().unwrap());
+        self.cv.notify_all();
+        self.port.wake();
+    }
 }
 
 /// A started daemon: its bound endpoint plus the supervisor thread.
@@ -179,6 +205,7 @@ pub fn start(cfg: ServeConfig) -> io::Result<DaemonHandle> {
         table: Mutex::new(table),
         cv: Condvar::new(),
         quit: AtomicBool::new(false),
+        port,
         started: Instant::now(),
         cells_completed: AtomicU64::new(0),
         worker_stats,
@@ -190,7 +217,7 @@ pub fn start(cfg: ServeConfig) -> io::Result<DaemonHandle> {
 
     let scheduler = {
         let shared = shared.clone();
-        thread::spawn(move || scheduler_loop(coordinator, &shared))
+        thread::spawn(move || scheduler_loop(coordinator, &shared, cfg.tick))
     };
 
     let endpoint = local.clone();
@@ -203,13 +230,12 @@ pub fn start(cfg: ServeConfig) -> io::Result<DaemonHandle> {
             if shared.quit.load(Ordering::SeqCst) {
                 break;
             }
-            let port = port.clone();
             let shared = shared.clone();
-            thread::spawn(move || handle_connection(conn, &port, &shared));
+            thread::spawn(move || handle_connection(conn, &shared));
         }
-        // Wake any watcher still parked on the condvar so its client
-        // connection can wind down.
-        shared.cv.notify_all();
+        // A daemon that no longer accepts is going down: the scheduler and
+        // any parked watcher must hear of it.
+        shared.request_quit();
         let _ = scheduler.join();
     });
 
@@ -232,32 +258,29 @@ pub fn run(cfg: ServeConfig) -> io::Result<Endpoint> {
 // Scheduler
 // ---------------------------------------------------------------------------
 
-fn scheduler_loop(mut coordinator: Coordinator, shared: &Arc<Shared>) {
-    loop {
-        if shared.quit.load(Ordering::SeqCst) {
-            break;
-        }
+fn scheduler_loop(mut coordinator: Coordinator, shared: &Shared, tick: Duration) {
+    // The two ways down: a client's `Quit`, and Ctrl-C — which an idle
+    // daemon has nobody else to notice for it.
+    while !(shared.quit.load(Ordering::SeqCst) || interrupt::interrupted()) {
         // FIFO: lowest queued job id first.
         let next = {
             let mut table = shared.table.lock().unwrap();
-            let picked = table
+            table
                 .jobs
-                .iter()
+                .iter_mut()
                 .find(|(_, j)| j.state == JobState::Queued)
-                .map(|(id, _)| *id);
-            picked.map(|id| {
-                let job = table.jobs.get_mut(&id).expect("picked job exists");
-                job.state = JobState::Running;
-                persist_meta(shared, id, job);
-                (id, job.config.clone(), job.cells.clone())
-            })
+                .map(|(&id, job)| {
+                    job.state = JobState::Running;
+                    (id, job.row(id), job.config.clone(), job.cells.clone())
+                })
         };
-        let Some((id, config, cells)) = next else {
-            // Idle: keep worker lifecycle (handshakes, leases, heartbeats)
-            // moving while we wait for submissions.
-            coordinator.pump_events(Duration::from_millis(100));
+        let Some((id, row, config, cells)) = next else {
+            // Idle: keep worker lifecycle (handshakes, disconnects,
+            // stragglers) moving until a submission or `Quit` wakes us.
+            coordinator.pump_events(tick);
             continue;
         };
+        persist_meta(shared, &row);
 
         let result = coordinator.run_batch_with(&config, &cells, |index, output| {
             let mut table = shared.table.lock().unwrap();
@@ -270,40 +293,45 @@ fn scheduler_loop(mut coordinator: Coordinator, shared: &Arc<Shared>) {
             shared.cv.notify_all();
         });
 
-        let mut table = shared.table.lock().unwrap();
-        let job = table.jobs.get_mut(&id).expect("running job exists");
-        match result {
-            Ok(outputs) => {
-                job.state = JobState::Done;
-                job.error = None;
-                persist_meta(shared, id, job);
-                persist_results(shared, id, &outputs);
-            }
-            Err(e) if interrupt::interrupted() || shared.quit.load(Ordering::SeqCst) => {
+        // Results reach the disk before the job reads `done` anywhere; the
+        // metadata follows with the lock released. A crash in between
+        // leaves a `running` file, which `load_state` re-queues.
+        if let Ok(outputs) = &result {
+            persist_results(shared, id, outputs);
+        }
+        let unfinished =
+            result.is_err() && (interrupt::interrupted() || shared.quit.load(Ordering::SeqCst));
+        let row = {
+            let mut table = shared.table.lock().unwrap();
+            let job = table.jobs.get_mut(&id).expect("running job exists");
+            match result {
+                Ok(_) => {
+                    job.state = JobState::Done;
+                    job.error = None;
+                }
                 // Interrupted mid-batch: the job is not failed, it is
                 // unfinished. Re-queue it so a restarted daemon (or the
                 // persisted state) replays it from scratch.
-                job.state = JobState::Queued;
-                job.error = Some(e);
-                job.outputs = vec![None; job.cells.len()];
-                job.completion_log.clear();
-                persist_meta(shared, id, job);
-                drop(table);
-                shared.quit.store(true, Ordering::SeqCst);
-                shared.cv.notify_all();
-                break;
+                Err(e) if unfinished => {
+                    job.state = JobState::Queued;
+                    job.error = Some(e);
+                    job.outputs = vec![None; job.cells.len()];
+                    job.completion_log.clear();
+                }
+                Err(e) => {
+                    job.state = JobState::Failed;
+                    job.error = Some(e);
+                }
             }
-            Err(e) => {
-                job.state = JobState::Failed;
-                job.error = Some(e);
-                persist_meta(shared, id, job);
-            }
+            job.row(id)
+        };
+        persist_meta(shared, &row);
+        if unfinished {
+            break;
         }
-        drop(table);
         shared.cv.notify_all();
     }
-    shared.quit.store(true, Ordering::SeqCst);
-    shared.cv.notify_all();
+    shared.request_quit();
     // Drain the worker fleet so `run_worker` loops return cleanly.
     coordinator.shutdown();
     // Unblock the accept loop in case shutdown came from an interrupt
@@ -315,17 +343,19 @@ fn scheduler_loop(mut coordinator: Coordinator, shared: &Arc<Shared>) {
 // Connections
 // ---------------------------------------------------------------------------
 
-fn handle_connection(conn: Conn, port: &WorkerPort, shared: &Arc<Shared>) {
+fn handle_connection(conn: Conn, shared: &Shared) {
     conn.set_nodelay();
     let Ok(mut writer) = conn.try_clone() else {
         return;
     };
     let mut reader = conn;
-    let Ok(nonce) = port.send_challenge(&mut writer) else {
+    let Ok(nonce) = shared.port.send_challenge(&mut writer) else {
         return;
     };
     match recv::<_, Greeting>(&mut reader) {
-        Ok(Some(Greeting::Worker(hello))) => port.adopt_worker(reader, writer, hello, &nonce),
+        Ok(Some(Greeting::Worker(hello))) => {
+            shared.port.adopt_worker(reader, writer, hello, &nonce)
+        }
         Ok(Some(Greeting::Client(hello))) => {
             if let Err(reason) = vet_client(&hello, &nonce, shared.secret.as_ref()) {
                 eprintln!("[serve] rejecting client {}: {reason}", hello.client_name);
@@ -343,7 +373,7 @@ fn handle_connection(conn: Conn, port: &WorkerPort, shared: &Arc<Shared>) {
     }
 }
 
-fn serve_client(reader: &mut Conn, writer: &mut Conn, shared: &Arc<Shared>) {
+fn serve_client(reader: &mut Conn, writer: &mut Conn, shared: &Shared) {
     loop {
         let request = match recv::<_, ClientRequest>(reader) {
             Ok(Some(r)) => r,
@@ -351,29 +381,23 @@ fn serve_client(reader: &mut Conn, writer: &mut Conn, shared: &Arc<Shared>) {
         };
         let ok = match request {
             ClientRequest::Submit { spec_json } => {
-                let reply = match expand_spec(&spec_json, &shared.catalog) {
-                    Ok(job) => ClientReply::Submitted {
-                        job_id: enqueue(shared, job.name, job.config, job.cells),
-                    },
-                    Err(message) => ClientReply::Error { message },
-                };
-                send(writer, &reply).is_ok()
+                submit(writer, shared, expand_spec(&spec_json, &shared.catalog))
             }
             ClientRequest::SubmitRaw {
                 name,
                 config,
                 cells,
             } => {
-                let reply = if cells.is_empty() {
-                    ClientReply::Error {
-                        message: "raw submission has no cells".into(),
-                    }
+                let job = if cells.is_empty() {
+                    Err("raw submission has no cells".into())
                 } else {
-                    ClientReply::Submitted {
-                        job_id: enqueue(shared, name, *config, cells),
-                    }
+                    Ok(ExpandedJob {
+                        name,
+                        config: *config,
+                        cells,
+                    })
                 };
-                send(writer, &reply).is_ok()
+                submit(writer, shared, job)
             }
             ClientRequest::Jobs => {
                 let rows: Vec<JobRow> = {
@@ -403,12 +427,11 @@ fn serve_client(reader: &mut Conn, writer: &mut Conn, shared: &Arc<Shared>) {
             }
             ClientRequest::Quit => {
                 let _ = send(writer, &ClientReply::Bye);
-                shared.quit.store(true, Ordering::SeqCst);
                 // A running batch exits through the coordinator's
-                // interrupt poll; an idle scheduler sees the flag on its
-                // next tick.
+                // interrupt poll, an idle scheduler through its `quit`
+                // check; the wake makes either happen now.
                 interrupt::simulate_interrupt();
-                shared.cv.notify_all();
+                shared.request_quit();
                 let _ = shared.local.connect();
                 return;
             }
@@ -419,37 +442,61 @@ fn serve_client(reader: &mut Conn, writer: &mut Conn, shared: &Arc<Shared>) {
     }
 }
 
-fn enqueue(
-    shared: &Arc<Shared>,
-    name: String,
-    config: ExperimentConfig,
-    cells: Vec<CellSpec>,
-) -> u64 {
-    let mut table = shared.table.lock().unwrap();
-    let id = table.next_id;
-    table.next_id += 1;
+/// Queues a vetted submission and answers the client; returns whether
+/// the connection is still usable.
+fn submit(writer: &mut Conn, shared: &Shared, job: Result<ExpandedJob, String>) -> bool {
+    let job = match job {
+        Ok(job) => job,
+        Err(message) => return send(writer, &ClientReply::Error { message }).is_ok(),
+    };
+    let id = {
+        let mut table = shared.table.lock().unwrap();
+        let id = table.next_id;
+        table.next_id += 1;
+        id
+    };
     let job = Job {
-        name,
+        name: job.name,
         state: JobState::Queued,
         error: None,
-        outputs: vec![None; cells.len()],
+        outputs: vec![None; job.cells.len()],
         completion_log: Vec::new(),
-        config,
-        cells,
+        config: job.config,
+        cells: job.cells,
     };
-    persist_meta(shared, id, &job);
+    // Written before the job is in the table: until then the scheduler
+    // cannot claim it, so this `queued` file cannot replace a later one.
+    // Task first — `load_state` goes by the metadata files.
     persist_task(shared, id, &job);
-    table.jobs.insert(id, job);
-    id
+    persist_meta(shared, &job.row(id));
+    shared.table.lock().unwrap().jobs.insert(id, job);
+    // The wake comes after the insert, so the scheduler's scan finds the
+    // job, and after the reply, so the client's round trip does not
+    // compete for a core with the work it has just started.
+    let ok = send(writer, &ClientReply::Submitted { job_id: id }).is_ok();
+    shared.port.wake();
+    ok
 }
 
 /// Streams a job to a watcher: replay the completion log from the start,
 /// then follow it live until the job reaches a terminal state. Returns
 /// whether the connection is still usable.
-fn stream_job(writer: &mut Conn, shared: &Arc<Shared>, job_id: u64) -> bool {
+fn stream_job(writer: &mut Conn, shared: &Shared, job_id: u64) -> bool {
     let mut cursor = 0usize;
-    let mut table = shared.table.lock().unwrap();
     loop {
+        // Park until there is something to act on — a new cell, a terminal
+        // state, `quit` (or no such job). The predicate runs under the
+        // table lock and there is no timeout to fall back on: see
+        // `Shared::cv` for what that asks of the writers.
+        let table = shared
+            .cv
+            .wait_while(shared.table.lock().unwrap(), |table| {
+                table.jobs.get(&job_id).is_some_and(|j| {
+                    cursor >= j.completion_log.len()
+                        && matches!(j.state, JobState::Queued | JobState::Running)
+                }) && !shared.quit.load(Ordering::SeqCst)
+            })
+            .unwrap();
         let Some(job) = table.jobs.get(&job_id) else {
             drop(table);
             return send(
@@ -470,8 +517,12 @@ fn stream_job(writer: &mut Conn, shared: &Arc<Shared>, job_id: u64) -> bool {
             }
             cursor += 1;
         }
-        let terminal = match job.state {
+        let end = match job.state {
             JobState::Done | JobState::Failed => Some((job.state, job.error.clone())),
+            // Daemon going down mid-watch: report the job as it stands.
+            state if shared.quit.load(Ordering::SeqCst) => {
+                Some((state, Some("daemon shutting down".into())))
+            }
             _ => None,
         };
         drop(table);
@@ -485,7 +536,7 @@ fn stream_job(writer: &mut Conn, shared: &Arc<Shared>, job_id: u64) -> bool {
                 return false;
             }
         }
-        if let Some((state, error)) = terminal {
+        if let Some((state, error)) = end {
             return send(
                 writer,
                 &ClientReply::JobDone {
@@ -496,45 +547,10 @@ fn stream_job(writer: &mut Conn, shared: &Arc<Shared>, job_id: u64) -> bool {
             )
             .is_ok();
         }
-        if shared.quit.load(Ordering::SeqCst) {
-            // Daemon going down mid-watch: report the job as it stands.
-            let state = shared
-                .table
-                .lock()
-                .unwrap()
-                .jobs
-                .get(&job_id)
-                .map(|j| j.state)
-                .unwrap_or(JobState::Queued);
-            return send(
-                writer,
-                &ClientReply::JobDone {
-                    job_id,
-                    state,
-                    error: Some("daemon shutting down".into()),
-                },
-            )
-            .is_ok();
-        }
-        table = shared.table.lock().unwrap();
-        // Re-check under the lock before sleeping: a cell may have landed
-        // between the send loop and re-acquisition.
-        if table
-            .jobs
-            .get(&job_id)
-            .is_some_and(|j| cursor < j.completion_log.len())
-        {
-            continue;
-        }
-        let (guard, _) = shared
-            .cv
-            .wait_timeout(table, Duration::from_millis(500))
-            .unwrap();
-        table = guard;
     }
 }
 
-fn snapshot(shared: &Arc<Shared>) -> StatusSnapshot {
+fn snapshot(shared: &Shared) -> StatusSnapshot {
     let table = shared.table.lock().unwrap();
     let count = |s: JobState| table.jobs.values().filter(|j| j.state == s).count();
     let cells_pending = table
@@ -562,10 +578,10 @@ fn snapshot(shared: &Arc<Shared>) -> StatusSnapshot {
 // Persistence
 // ---------------------------------------------------------------------------
 
-fn persist_meta(shared: &Shared, id: u64, job: &Job) {
+fn persist_meta(shared: &Shared, row: &JobRow) {
     if let Some(dir) = &shared.state_dir {
-        let row = job.row(id);
-        let json = serde_json::to_string(&row).expect("row serializes");
+        let id = row.id;
+        let json = serde_json::to_string(row).expect("row serializes");
         if let Err(e) = std::fs::write(dir.join(format!("job-{id}.json")), json) {
             eprintln!("[serve] failed to persist job {id} metadata: {e}");
         }

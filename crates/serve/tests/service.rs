@@ -1,11 +1,12 @@
 //! End-to-end tests for the `bobw serve` daemon: byte-identity with the
 //! local runner, client authentication, lease-based rescue of cells from
-//! a stuck worker across queued jobs, and state-dir persistence.
+//! a stuck worker across queued jobs, state-dir persistence, and the
+//! event-driven job path (pickup, quit and `JobDone` never wait on a timer).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bobw_core::{ExperimentConfig, Testbed};
 use bobw_dist::{
@@ -370,8 +371,24 @@ fn state_dir_survives_daemon_restart() {
         job_id + 1,
         "ids must continue past reloaded jobs"
     );
+    let behind_id = client.submit_raw("behind", &cfg, &cells).expect("submit 3");
     client.quit().expect("quit 2");
     handle.join();
+
+    // What a daemon killed mid-job leaves behind: metadata that still
+    // says `running` (it is written outside the table lock and may trail
+    // the in-memory state).
+    let meta_path = state_dir.join(format!("job-{behind_id}.json"));
+    let meta = std::fs::read_to_string(&meta_path).expect("meta of the unrun job");
+    assert!(
+        meta.contains(r#""state":"queued""#),
+        "unexpected meta: {meta}"
+    );
+    std::fs::write(
+        &meta_path,
+        meta.replace(r#""state":"queued""#, r#""state":"running""#),
+    )
+    .unwrap();
 
     // Third life: the unrun job came back queued, not lost or done.
     let mut serve_cfg = open_serve_config();
@@ -380,7 +397,7 @@ fn state_dir_survives_daemon_restart() {
     let endpoint = handle.endpoint().clone();
     let mut client = ServeClient::connect(&endpoint, "persist-test", None).expect("client 3");
     let rows = client.jobs().expect("jobs");
-    assert_eq!(rows.len(), 2);
+    assert_eq!(rows.len(), 3);
     let later = rows.iter().find(|r| r.id == queued_id).expect("queued job");
     // The scheduler may already have claimed it (it runs as soon as the
     // daemon is up, waiting for workers) — what matters is that the job
@@ -391,6 +408,11 @@ fn state_dir_survives_daemon_restart() {
         later.state
     );
     assert_eq!(later.cells_done, 0);
+    // The job whose metadata said `running` is queued again — and stays
+    // so, behind `later`, which no worker is there to finish.
+    let behind = rows.iter().find(|r| r.id == behind_id).expect("behind job");
+    assert_eq!(behind.state, "queued");
+    assert_eq!(behind.cells_done, 0);
     client.quit().expect("quit 3");
     handle.join();
 
@@ -431,4 +453,115 @@ fn spec_submission_expands_and_runs() {
     client.quit().expect("quit");
     handle.join();
     worker.join().unwrap();
+}
+
+/// A daemon whose tick is far longer than any of the tests below may
+/// take, with one worker attached and seen by the scheduler — which is
+/// therefore idle, blocked in its wait, when this returns.
+fn idle_daemon_with_long_tick(
+    worker_name: &str,
+) -> (
+    bobw_serve::DaemonHandle,
+    std::thread::JoinHandle<u64>,
+    ServeClient,
+) {
+    let mut serve_cfg = open_serve_config();
+    serve_cfg.tick = Duration::from_secs(5);
+    let handle = daemon::start(serve_cfg).expect("daemon");
+    let endpoint = handle.endpoint().clone();
+    let worker = spawn_worker(&endpoint, worker_name, 1);
+    let mut client = ServeClient::connect(&endpoint, "wake-test", None).expect("client");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !client.status_json().expect("status").contains(worker_name) {
+        assert!(Instant::now() < deadline, "worker never attached");
+        std::thread::yield_now();
+    }
+    (handle, worker, client)
+}
+
+/// Job pickup must not depend on the tick: with a 5 s tick, a job
+/// submitted to an idle daemon is done long before one tick has passed.
+#[test]
+fn submission_wakes_an_idle_scheduler() {
+    let _guard = serial();
+    let cfg = test_config();
+    let cells = grid(&Testbed::new(cfg.clone()), &["anycast"], 1);
+    let (handle, worker, mut client) = idle_daemon_with_long_tick("wake-w");
+
+    let mut run_job = |name: &str| {
+        let at = Instant::now();
+        let job_id = client.submit_raw(name, &cfg, &cells).expect("submit");
+        let (_, state) = collect_watch(&mut client, job_id, cells.len());
+        assert_eq!(state, JobState::Done);
+        at.elapsed()
+    };
+    // The first job also pays for the worker's testbed; time the second,
+    // submitted once the scheduler is idle again.
+    run_job("warm-up");
+    let took = run_job("timed");
+    assert!(
+        took < Duration::from_secs(2),
+        "a one-cell job took {took:?}: pickup waited for the tick"
+    );
+
+    client.quit().expect("quit");
+    handle.join();
+    assert_eq!(worker.join().unwrap(), 2);
+}
+
+/// Neither must shutdown: `Quit` to an idle daemon with a 5 s tick ends
+/// it (scheduler, accept loop, worker) at once.
+#[test]
+fn quit_wakes_an_idle_scheduler() {
+    let _guard = serial();
+    let (handle, worker, mut client) = idle_daemon_with_long_tick("quit-w");
+    let at = Instant::now();
+    client.quit().expect("quit");
+    handle.join();
+    assert!(
+        at.elapsed() < Duration::from_secs(2),
+        "shutdown took {:?}: quit waited for the tick",
+        at.elapsed()
+    );
+    assert_eq!(worker.join().unwrap(), 0);
+}
+
+/// Watchers wait with no timeout, so a `JobDone` (or cell) notification
+/// lost between a watcher's check and its wait would hang it for good.
+/// One-cell jobs watched the moment they are submitted put the watcher in
+/// that window every time: the last cell is being sent, lock released,
+/// while the scheduler flips the job to `Done`.
+#[test]
+fn watchers_never_miss_job_done() {
+    const JOBS: usize = 300;
+    let _guard = serial();
+    let cfg = test_config();
+    let cells = grid(&Testbed::new(cfg.clone()), &["anycast"], 1);
+    let handle = daemon::start(open_serve_config()).expect("daemon");
+    let endpoint = handle.endpoint().clone();
+    let worker = spawn_worker(&endpoint, "watch-w", 1);
+
+    let (finished, all_done) = std::sync::mpsc::channel();
+    let client_thread = std::thread::spawn(move || {
+        let mut client = ServeClient::connect(&endpoint, "watch-test", None).expect("client");
+        for n in 0..JOBS {
+            let job_id = client
+                .submit_raw(&format!("job-{n}"), &cfg, &cells)
+                .expect("submit");
+            let (_, state) = collect_watch(&mut client, job_id, cells.len());
+            assert_eq!(state, JobState::Done);
+        }
+        client.quit().expect("quit");
+        let _ = finished.send(());
+    });
+    // A hang must fail the test, not the whole run's time limit; a client
+    // thread that panicked drops the sender, and its join reports it.
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+        all_done.recv_timeout(Duration::from_secs(60))
+    {
+        panic!("{JOBS} watched jobs did not finish in 60 s: a watcher missed a wake-up");
+    }
+    client_thread.join().expect("client thread");
+    handle.join();
+    assert_eq!(worker.join().unwrap(), JOBS as u64);
 }
