@@ -97,6 +97,12 @@ pub struct BgpNode {
     /// damping is enabled in the timing config).
     damping: HashMap<(NodeId, Prefix), DampState>,
     fib: FlatPrefixMap<NextHop>,
+    /// Bumped whenever the state the data plane reads at this node really
+    /// changes: a FIB entry (any prefix) gets a different next hop or
+    /// disappears, or an adjacency's `fwd_up` flips. Monotone, so a consumer
+    /// that summed the versions of the nodes a walk read can tell from an
+    /// equal sum that none of them moved.
+    fwd_version: u64,
     originated: BTreeMap<Prefix, OriginConfig>,
     gen_counter: u64,
     /// Reusable buffer for session expiry/restore sweeps (collect affected
@@ -120,6 +126,7 @@ impl BgpNode {
             rib: FlatRib::new(),
             damping: HashMap::new(),
             fib: FlatPrefixMap::new(),
+            fwd_version: 0,
             originated: BTreeMap::new(),
             gen_counter: 0,
             scratch: Vec::new(),
@@ -191,6 +198,15 @@ impl BgpNode {
         self.fib.lookup(addr).map(|(p, nh)| (p, *nh))
     }
 
+    /// Version of this node's forwarding state (FIB entries and `fwd_up`
+    /// flags): two reads returning the same value bracket a window in which
+    /// every [`fib_lookup`](BgpNode::fib_lookup) and
+    /// [`forwarding_is_up`](BgpNode::forwarding_is_up) answer here was
+    /// stable.
+    pub fn forwarding_version(&self) -> u64 {
+        self.fwd_version
+    }
+
     /// Does this node currently originate `prefix`?
     pub fn originates(&self, prefix: &Prefix) -> bool {
         self.originated.contains_key(prefix)
@@ -260,7 +276,10 @@ impl BgpNode {
     pub fn fail_session(&mut self, neighbor: NodeId) -> bool {
         if let Some(idx) = self.nbr_pos(neighbor) {
             let nbr = &mut self.neighbors[idx];
-            nbr.fwd_up = false;
+            if nbr.fwd_up {
+                nbr.fwd_up = false;
+                self.fwd_version += 1;
+            }
             if nbr.up {
                 nbr.up = false;
                 for s in &mut nbr.send {
@@ -417,7 +436,10 @@ impl BgpNode {
                 return;
             }
             nbr.up = true;
-            nbr.fwd_up = true;
+            if !nbr.fwd_up {
+                nbr.fwd_up = true;
+                self.fwd_version += 1;
+            }
             nbr.send.clear();
         }
         // Sorted by prefix value for the same reason as in
@@ -641,13 +663,15 @@ impl BgpNode {
         rng: &mut SmallRng,
         out: &mut Vec<(SimDuration, BgpEvent)>,
     ) {
-        match &new_best {
+        let fib_changed = match &new_best {
             Some(sel) => {
-                self.fib.insert(prefix, sel.next_hop());
+                let next_hop = sel.next_hop();
+                self.fib.insert(prefix, next_hop) != Some(next_hop)
             }
-            None => {
-                self.fib.remove(&prefix);
-            }
+            None => self.fib.remove(&prefix).is_some(),
+        };
+        if fib_changed {
+            self.fwd_version += 1;
         }
         self.rib.set_best_at(pidx, new_best);
         self.refresh_exports(now, prefix, pidx, timing, rng, out);
@@ -1544,5 +1568,111 @@ mod tests {
         n.withdraw_origin(now, pre, &t, &mut rng, &mut out);
         let (d2, _) = out[0];
         assert!(d2 < SimDuration::from_secs(1), "withdraw delayed {d2}");
+    }
+
+    /// Feeds `n` an UPDATE for `prefix` from `from` with AS path `path`.
+    fn learn(n: &mut BgpNode, from: u32, prefix: Prefix, path: &[u32]) -> bool {
+        let (t, mut rng) = ctx();
+        n.receive(
+            SimTime::ZERO,
+            NodeId(from),
+            Message::Update {
+                prefix,
+                route: wire(path, NodeId(9)),
+            },
+            &t,
+            &mut rng,
+            &mut Vec::new(),
+        )
+    }
+
+    #[test]
+    fn forwarding_version_follows_the_fib_not_the_best_route() {
+        let mut n = test_node();
+        let pre = p("10.0.0.0/24");
+        assert_eq!(n.forwarding_version(), 0);
+        // First route: a FIB entry appears.
+        assert!(learn(&mut n, 2, pre, &[102, 8, 9]));
+        assert_eq!(n.forwarding_version(), 1);
+        // The same neighbor advertises a shorter path: the best route
+        // changes, the next hop does not.
+        assert!(learn(&mut n, 2, pre, &[102, 9]));
+        assert_eq!(
+            n.fib_lookup(pre.addr_at(1)).unwrap().1,
+            NextHop::Via(NodeId(2))
+        );
+        assert_eq!(n.forwarding_version(), 1);
+        // A losing candidate changes nothing at all.
+        assert!(!learn(&mut n, 3, pre, &[103, 9]));
+        assert_eq!(n.forwarding_version(), 1);
+        // A customer route displaces the peer route: new next hop.
+        assert!(learn(&mut n, 1, pre, &[101, 7, 8, 9]));
+        assert_eq!(n.forwarding_version(), 2);
+        // Re-installing the identical best route through commit_best.
+        let (t, mut rng) = ctx();
+        let best = *n.best(&pre).unwrap();
+        let pidx = n.rib.position(&pre).unwrap();
+        n.commit_best(
+            SimTime::ZERO,
+            pre,
+            pidx,
+            Some(best),
+            &t,
+            &mut rng,
+            &mut Vec::new(),
+        );
+        assert_eq!(n.forwarding_version(), 2);
+        // The entry disappears: bump; removing nothing: no bump.
+        n.commit_best(
+            SimTime::ZERO,
+            pre,
+            pidx,
+            None,
+            &t,
+            &mut rng,
+            &mut Vec::new(),
+        );
+        assert_eq!(n.forwarding_version(), 3);
+        n.commit_best(
+            SimTime::ZERO,
+            pre,
+            pidx,
+            None,
+            &t,
+            &mut rng,
+            &mut Vec::new(),
+        );
+        assert_eq!(n.forwarding_version(), 3);
+    }
+
+    #[test]
+    fn forwarding_version_follows_fwd_up_not_the_session_flag() {
+        let mut n = test_node();
+        let (t, mut rng) = ctx();
+        let peer = NodeId(2);
+        // Control-plane-only teardowns leave the data plane alone.
+        assert!(n.fail_session_control(peer));
+        assert!(n.forwarding_is_up(peer));
+        n.quiesce_sessions();
+        assert_eq!(n.forwarding_version(), 0);
+        // A restore that only brings the session back: still nothing.
+        n.restore_session(SimTime::ZERO, peer, &t, &mut rng, &mut Vec::new());
+        assert_eq!(n.forwarding_version(), 0);
+        // A data-plane failure bumps once, however often it is repeated...
+        assert!(n.fail_session(peer));
+        assert!(!n.fail_session(peer));
+        assert!(!n.forwarding_is_up(peer));
+        assert_eq!(n.forwarding_version(), 1);
+        // ...and so does the restore that undoes it.
+        n.restore_session(SimTime::ZERO, peer, &t, &mut rng, &mut Vec::new());
+        assert!(n.forwarding_is_up(peer));
+        assert_eq!(n.forwarding_version(), 2);
+        n.restore_session(SimTime::ZERO, peer, &t, &mut rng, &mut Vec::new());
+        assert_eq!(n.forwarding_version(), 2);
+        // A control-plane teardown followed by a physical cut of the same
+        // adjacency: the session flag is already down, `fwd_up` still flips.
+        assert!(n.fail_session_control(peer));
+        assert!(!n.fail_session(peer));
+        assert_eq!(n.forwarding_version(), 3);
     }
 }

@@ -45,11 +45,6 @@ pub struct BgpSim {
     history: Vec<RouteChange>,
     record_history: bool,
     stats: SimStats,
-    /// Bumped on every change to observable forwarding state: any node's
-    /// best route (hence FIB) and any session's up/down flag. Lets data
-    /// plane consumers memoize pure functions of FIB + session state (probe
-    /// walks) and invalidate exactly when routing actually moved.
-    version: u64,
     /// Message-level session layer (per-peer FSMs + wire codec on every
     /// message). `None` = the abstract model: adjacencies are booleans and
     /// session management is implicit. Strictly opt-in via
@@ -255,7 +250,6 @@ impl BgpSim {
             history: Vec::new(),
             record_history: false,
             stats: SimStats::default(),
-            version: 0,
             session: None,
         }
     }
@@ -298,7 +292,6 @@ impl BgpSim {
             node.quiesce_sessions();
         }
         self.session = Some(SessionLayer { knobs, sessions });
-        self.version += 1;
     }
 
     /// Is the message-level session model active?
@@ -326,12 +319,13 @@ impl BgpSim {
         self.session = Some(layer);
     }
 
-    /// Monotone counter over forwarding-state changes (FIBs and session
-    /// up/down flags). Two calls returning the same value bracket a window
-    /// in which every [`fib_lookup`](BgpSim::fib_lookup) and
-    /// [`link_is_up`](BgpSim::link_is_up) answer was stable.
-    pub fn state_version(&self) -> u64 {
-        self.version
+    /// `node`'s forwarding version (see [`BgpNode::forwarding_version`]):
+    /// it moves only when a [`fib_lookup`](BgpSim::fib_lookup) answer at
+    /// `node` or `node`'s half of a [`link_is_up`](BgpSim::link_is_up)
+    /// answer really changes, so data-plane consumers can memoize a walk
+    /// against the versions of exactly the nodes it read.
+    pub fn forwarding_version(&self, node: NodeId) -> u64 {
+        self.nodes[node.index()].forwarding_version()
     }
 
     /// Enables/disables the route-change history (collector feed). Off by
@@ -397,7 +391,6 @@ impl BgpSim {
             out,
         );
         if changed {
-            self.version += 1;
             self.record_change(now, node, prefix);
         }
     }
@@ -418,7 +411,6 @@ impl BgpSim {
             out,
         );
         if changed {
-            self.version += 1;
             self.record_change(now, node, prefix);
         }
     }
@@ -456,7 +448,6 @@ impl BgpSim {
                 );
                 if changed {
                     self.stats.best_changes += 1;
-                    self.version += 1;
                     self.record_change(now, to, prefix);
                 }
             }
@@ -483,7 +474,6 @@ impl BgpSim {
                 );
                 if changed {
                     self.stats.best_changes += 1;
-                    self.version += 1;
                     self.record_change(now, node, prefix);
                 }
             }
@@ -539,7 +529,6 @@ impl BgpSim {
         );
         for prefix in changed {
             self.stats.best_changes += 1;
-            self.version += 1;
             self.record_change(now, node, prefix);
         }
     }
@@ -554,9 +543,7 @@ impl BgpSim {
         peer: NodeId,
         out: &mut Vec<(SimDuration, BgpEvent)>,
     ) {
-        if self.nodes[node.index()].fail_session_control(peer) {
-            self.version += 1;
-        }
+        self.nodes[node.index()].fail_session_control(peer);
         self.expire_now(now, node, peer, out);
     }
 
@@ -666,15 +653,12 @@ impl BgpSim {
                     layer.cancel(idx, nix, SessionTimerKind::Keepalive);
                     let (n, rng) = (&mut self.nodes[idx], &mut self.proc_rngs[idx]);
                     n.restore_session(now, peer, &self.timing, rng, out);
-                    self.version += 1;
                 }
                 FsmOutput::Down { reason } => match reason {
                     DownReason::PeerRestarting { window_s } => {
                         // Graceful restart: keep forwarding AND keep the
                         // routes (marked stale) for the advertised window.
-                        if self.nodes[idx].fail_session_control(peer) {
-                            self.version += 1;
-                        }
+                        self.nodes[idx].fail_session_control(peer);
                         layer.sessions[idx][nix].stale = self.nodes[idx].prefixes_from(peer);
                         let gen = layer.arm(idx, nix, SessionTimerKind::StaleSweep);
                         out.push((
@@ -767,7 +751,6 @@ impl BgpSim {
                         );
                         for prefix in changed {
                             self.stats.best_changes += 1;
-                            self.version += 1;
                             self.record_change(now, node, prefix);
                         }
                     }
@@ -799,7 +782,6 @@ impl BgpSim {
             // whole-site failures) must not schedule a duplicate HoldExpire,
             // which would rerun the purge and inflate best_changes/history.
             if self.nodes[x.index()].fail_session(y) {
-                self.version += 1;
                 out.push((
                     hold,
                     BgpEvent::HoldExpire {
@@ -841,7 +823,6 @@ impl BgpSim {
             let idx = x.index();
             let (node, rng) = (&mut self.nodes[idx], &mut self.proc_rngs[idx]);
             node.restore_session(now, y, &self.timing, rng, out);
-            self.version += 1;
         }
     }
 
@@ -891,21 +872,18 @@ impl BgpSim {
                 continue;
             };
             layer.sessions[xi][nix].admin_up = false;
-            if self.nodes[xi].fail_session(y) {
-                self.version += 1;
-                if layer.sessions[xi][nix].fsm.is_established() {
-                    let hold = layer.sessions[xi][nix].fsm.hold_time();
-                    let gen = layer.arm(xi, nix, SessionTimerKind::Hold);
-                    out.push((
-                        hold,
-                        BgpEvent::SessionTimer {
-                            node: x,
-                            neighbor: y,
-                            kind: SessionTimerKind::Hold,
-                            gen,
-                        },
-                    ));
-                }
+            if self.nodes[xi].fail_session(y) && layer.sessions[xi][nix].fsm.is_established() {
+                let hold = layer.sessions[xi][nix].fsm.hold_time();
+                let gen = layer.arm(xi, nix, SessionTimerKind::Hold);
+                out.push((
+                    hold,
+                    BgpEvent::SessionTimer {
+                        node: x,
+                        neighbor: y,
+                        kind: SessionTimerKind::Hold,
+                        gen,
+                    },
+                ));
             }
         }
         self.session = Some(layer);
@@ -982,9 +960,7 @@ impl BgpSim {
             self.session = Some(layer);
         } else {
             for (x, y) in [(a, b), (b, a)] {
-                if self.nodes[x.index()].fail_session(y) {
-                    self.version += 1;
-                }
+                self.nodes[x.index()].fail_session(y);
                 self.expire_now(now, x, y, out);
             }
             self.restore_sessions_raw(now, a, b, out);
@@ -1036,12 +1012,9 @@ impl BgpSim {
             }
             self.session = Some(layer);
         } else {
-            if self.nodes[peer.index()].fail_session_control(site) {
-                self.version += 1;
-            }
+            self.nodes[peer.index()].fail_session_control(site);
             self.expire_now(now, peer, site, out);
             if self.nodes[site.index()].fail_session_control(peer) {
-                self.version += 1;
                 out.push((
                     self.timing.hold_time(),
                     BgpEvent::HoldExpire {
@@ -1084,9 +1057,7 @@ impl BgpSim {
                 layer.sessions[idx][nix].blocked = true;
                 layer.sessions[idx][nix].stale.clear();
                 layer.cancel_all(idx, nix);
-                if self.nodes[idx].fail_session_control(peer) {
-                    self.version += 1;
-                }
+                self.nodes[idx].fail_session_control(peer);
                 // The peer detects the restart (GR negotiated ⇒ retain).
                 self.drive(&mut layer, now, peer, node, FsmInput::PeerRestart, out);
                 // Restart completes after `restart`, then reconnect.

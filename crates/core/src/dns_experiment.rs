@@ -18,7 +18,6 @@
 //! client holds a fresh record.
 
 use bobw_bgp::{BgpEvent, BgpSim, OriginConfig};
-use bobw_dataplane::{walk, ForwardEnv, ProbeLog, ProbeOutcome, ProbeRecord};
 use bobw_dns::{Authoritative, RecursiveResolver};
 use bobw_event::rng::lognormal;
 use bobw_event::{Engine, Handler, Scheduler, SimDuration, SimTime};
@@ -28,7 +27,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::{FailoverResult, Testbed};
-use crate::metrics::analyze_target;
+use crate::probing::ProbePlane;
 use crate::targets::select_targets;
 
 /// Client-population parameters for the in-sim DNS experiment.
@@ -77,31 +76,23 @@ enum SimEvent {
     Bgp(BgpEvent),
     FailSite,
     DnsUpdate,
-    AttemptRound(u32),
+    AttemptRound,
 }
-
-/// One memoized connection walk: (BGP state version, down-set epoch,
-/// resolved address, reached site).
-type WalkMemo = (u64, u64, u32, Option<SiteId>);
 
 struct DnsRun<'a> {
     topo: &'a Topology,
     cdn: &'a CdnDeployment,
     bgp: BgpSim,
     auth: Authoritative,
+    /// One per target, in target order.
     resolvers: Vec<RecursiveResolver>,
-    targets: Vec<NodeId>,
-    down: Vec<NodeId>,
+    /// The targets, the data-plane down set, and their connection attempts
+    /// (see [`ProbePlane`]). DNS answers change rarely (TTL scale), so most
+    /// attempt rounds reuse the previous round's walks.
+    attempts: ProbePlane,
     failed: SiteId,
     failed_node: NodeId,
-    log: ProbeLog,
     scratch: Vec<(SimDuration, BgpEvent)>,
-    /// Per-target memo of the last connection walk, keyed by (BGP state
-    /// version, down-set epoch, resolved address); see the probe memo in
-    /// `experiment.rs`. DNS answers change rarely (TTL scale) and routing
-    /// is static between events, so most attempt rounds reuse the walk.
-    walk_memo: Vec<Option<WalkMemo>>,
-    down_epoch: u64,
 }
 
 impl Handler<SimEvent> for DnsRun<'_> {
@@ -114,8 +105,7 @@ impl Handler<SimEvent> for DnsRun<'_> {
                 }
             }
             SimEvent::FailSite => {
-                self.down.push(self.failed_node);
-                self.down_epoch += 1;
+                self.attempts.mark_down(self.failed_node);
                 for prefix in self.bgp.node(self.failed_node).originated_prefixes() {
                     self.bgp
                         .withdraw(now, self.failed_node, prefix, &mut self.scratch);
@@ -129,58 +119,19 @@ impl Handler<SimEvent> for DnsRun<'_> {
                 // now steer to each client's fallback site.
                 self.auth.mark_failed(self.failed);
             }
-            SimEvent::AttemptRound(seq) => {
-                let mut outcomes = Vec::with_capacity(self.targets.len());
-                if self.walk_memo.len() < self.targets.len() {
-                    self.walk_memo.resize(self.targets.len(), None);
-                }
-                let version = self.bgp.state_version();
-                {
-                    let env = ForwardEnv {
-                        topo: self.topo,
-                        bgp: &self.bgp,
-                        down: &self.down,
-                    };
-                    for (i, &target) in self.targets.iter().enumerate() {
-                        let outcome = match self.resolvers[i].query(&self.auth, now) {
-                            Some((answer, _)) => {
-                                let key = (version, self.down_epoch, answer.addr);
-                                let site = match self.walk_memo[i] {
-                                    Some((v, e, d, cached)) if (v, e, d) == key => cached,
-                                    _ => {
-                                        let s = walk(&env, target, answer.addr)
-                                            .delivered_to()
-                                            .and_then(|node| self.cdn.site_at(node));
-                                        self.walk_memo[i] = Some((key.0, key.1, key.2, s));
-                                        s
-                                    }
-                                };
-                                match site {
-                                    Some(site) => ProbeOutcome::Received {
-                                        site,
-                                        // Connection success observed a
-                                        // round trip later; negligible
-                                        // against DNS time scales.
-                                        at: now,
-                                    },
-                                    None => ProbeOutcome::Lost,
-                                }
-                            }
-                            None => ProbeOutcome::Lost,
-                        };
-                        outcomes.push(outcome);
-                    }
-                }
-                for (i, outcome) in outcomes.into_iter().enumerate() {
-                    self.log.push(
-                        i,
-                        ProbeRecord {
-                            seq,
-                            sent: now,
-                            outcome,
-                        },
-                    );
-                }
+            SimEvent::AttemptRound => {
+                let DnsRun {
+                    attempts,
+                    topo,
+                    bgp,
+                    cdn,
+                    resolvers,
+                    auth,
+                    ..
+                } = self;
+                attempts.round(topo, bgp, cdn, now, |i, _| {
+                    resolvers[i].query(auth, now).map(|(answer, _)| answer.addr)
+                });
             }
         }
     }
@@ -211,14 +162,10 @@ pub fn run_unicast_dns_failover(
         bgp: BgpSim::from_seed(topo, cfg.timing.clone(), &testbed.bgp_seed),
         auth: Authoritative::new(site_prefixes.clone(), dns.ttl),
         resolvers: Vec::new(),
-        targets: Vec::new(),
-        down: Vec::new(),
+        attempts: ProbePlane::default(), // targets set after selection
         failed,
         failed_node,
-        log: ProbeLog::new(0),
         scratch: Vec::with_capacity(64),
-        walk_memo: Vec::new(),
-        down_epoch: 0,
     };
 
     // Phase 1: every site announces its own unicast /24 (plus the
@@ -297,8 +244,7 @@ pub fn run_unicast_dns_failover(
         resolver.query(&run.auth, warm_at);
         run.resolvers.push(resolver);
     }
-    run.targets = targets;
-    run.log = ProbeLog::new(run.targets.len());
+    run.attempts = ProbePlane::connections(targets);
 
     // Phase 3: failure, DNS reaction, connection attempts.
     engine.schedule_at(t_fail, SimEvent::FailSite);
@@ -307,14 +253,12 @@ pub fn run_unicast_dns_failover(
     for k in 0..rounds {
         engine.schedule_at(
             t_fail + dns.attempt_interval.saturating_mul(k as u64),
-            SimEvent::AttemptRound(k),
+            SimEvent::AttemptRound,
         );
     }
     engine.run_until(&mut run, t_fail + dns.window, cfg.max_events);
 
-    let outcomes = (0..run.log.num_targets())
-        .map(|i| analyze_target(run.log.for_target(i), t_fail))
-        .collect::<Vec<_>>();
+    let outcomes = run.attempts.outcomes(t_fail);
     testbed.note_peak_queue_depth(engine.peak_pending());
     FailoverResult {
         technique: "unicast-dns".to_string(),
@@ -322,7 +266,7 @@ pub fn run_unicast_dns_failover(
         failed_site: failed,
         num_candidates: num_selected,
         num_selected,
-        num_controllable: run.targets.len(),
+        num_controllable: run.attempts.targets().len(),
         outcomes,
         t_fail,
         traffic: None,

@@ -17,10 +17,7 @@
 //! 5. extract per-target reconnection and failover times.
 
 use bobw_bgp::{BgpEvent, BgpSim, BgpTimingConfig};
-use bobw_dataplane::walk;
-use bobw_dataplane::{
-    probe_path, ForwardEnv, ProbeConfig, ProbeLog, ProbeOutcome, ProbeRecord, SiteCapture,
-};
+use bobw_dataplane::{walk, ForwardEnv, ProbeConfig};
 use bobw_dns::Authoritative;
 use bobw_event::{Engine, Handler, RngFactory, Scheduler, SimDuration, SimTime};
 use bobw_net::NodeId;
@@ -31,8 +28,9 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::metrics::{analyze_target, TargetOutcome};
+use crate::metrics::TargetOutcome;
 use crate::plan::AddressPlan;
+use crate::probing::{ProbeCounts, ProbePlane};
 use crate::targets::select_targets_counted;
 use crate::technique::{Action, Technique};
 
@@ -306,7 +304,7 @@ enum SimEvent {
     Bgp(BgpEvent),
     /// One compiled scenario op (withdrawal, crash, link cut, drain, …).
     Fault(FaultOp),
-    ProbeRound(u32),
+    ProbeRound,
     /// One traffic-layer demand tick (only scheduled when the config
     /// enables the traffic layer).
     TrafficTick,
@@ -327,9 +325,9 @@ struct Run<'a> {
     cdn: &'a CdnDeployment,
     plan: &'a AddressPlan,
     bgp: BgpSim,
-    down: Vec<NodeId>,
-    targets: Vec<NodeId>,
-    prober: NodeId,
+    /// The controllable targets, the data-plane down set, and the probing
+    /// through the failure (see [`ProbePlane`]).
+    probes: ProbePlane,
     reactions: Vec<Action>,
     /// Every phase-1 advertisement; `Announce`/`SiteRestore` ops replay a
     /// node's subset of these.
@@ -341,24 +339,11 @@ struct Run<'a> {
     /// The measurement anchor (traffic splits peak utilization around it).
     t_fail: SimTime,
     rng: &'a RngFactory,
-    log: ProbeLog,
-    capture: SiteCapture,
     scratch: Vec<(SimDuration, BgpEvent)>,
     /// Fault ops an op application wants scheduled later (staged React
     /// rollouts); drained onto the event queue by the handler.
     pending_faults: Vec<(SimDuration, FaultOp)>,
-    /// Per-target memo of the last probe walk, keyed by (BGP state version,
-    /// down-set epoch, destination). The walk is a pure function of that
-    /// key, and routing is static between events, so consecutive probe
-    /// rounds over a converged network skip the hop-by-hop FIB walk.
-    probe_memo: Vec<Option<ProbeMemo>>,
-    /// Bumped whenever `down` changes; part of the memo key.
-    down_epoch: u64,
 }
-
-/// One memoized probe walk: key (version, epoch, dst) and the cached
-/// outcome — the answering site and total delay, or `None` for lost.
-type ProbeMemo = (u64, u64, u32, Option<(SiteId, SimDuration)>);
 
 impl Run<'_> {
     fn drain_bgp(&mut self, sched: &mut Scheduler<'_, SimEvent>) {
@@ -416,10 +401,7 @@ impl Run<'_> {
             FaultOp::Announce { node } => self.replay_initial(now, node),
             FaultOp::SiteFail { node, graceful } => {
                 // The site dies: data plane drops everything arriving there.
-                if !self.down.contains(&node) {
-                    self.down.push(node);
-                    self.down_epoch += 1;
-                }
+                self.probes.mark_down(node);
                 if graceful {
                     // Its router withdraws all announcements (§4).
                     self.withdraw_all(now, node);
@@ -434,8 +416,7 @@ impl Run<'_> {
                 self.mark_site(node, true);
             }
             FaultOp::SiteRestore { node } => {
-                self.down.retain(|&n| n != node);
-                self.down_epoch += 1;
+                self.probes.mark_up(node);
                 let peers: Vec<NodeId> = self.topo.neighbors(node).iter().map(|a| a.peer).collect();
                 for peer in peers {
                     self.bgp.restore_link(now, node, peer, &mut self.scratch);
@@ -511,10 +492,7 @@ impl Run<'_> {
             FaultOp::SiteDark { node } => {
                 // Machines power off at the end of a drain: data plane
                 // down, nothing left to withdraw.
-                if !self.down.contains(&node) {
-                    self.down.push(node);
-                    self.down_epoch += 1;
-                }
+                self.probes.mark_down(node);
                 self.mark_site(node, true);
             }
             FaultOp::React { skip, stagger } => {
@@ -608,73 +586,26 @@ impl Handler<SimEvent> for Run<'_> {
                     sched.after(after, SimEvent::Fault(op));
                 }
             }
-            SimEvent::ProbeRound(seq) => {
-                let mut outcomes = Vec::with_capacity(self.targets.len());
-                if self.probe_memo.len() < self.targets.len() {
-                    self.probe_memo.resize(self.targets.len(), None);
-                }
-                let version = self.bgp.state_version();
-                {
-                    let env = ForwardEnv {
-                        topo: self.topo,
-                        bgp: &self.bgp,
-                        down: &self.down,
-                    };
-                    for (i, &target) in self.targets.iter().enumerate() {
-                        // A de-steered target connects to the address its
-                        // fresh DNS answer names; everyone else to the
-                        // technique's probe address.
-                        let dst = match &self.drain {
-                            Some(d) if d.resolve_at[i].is_some_and(|t| now >= t) => {
-                                d.auth.resolve(target, now).map(|answer| answer.addr)
-                            }
-                            _ => Some(self.plan.probe_addr()),
-                        };
-                        outcomes.push(match dst {
-                            Some(dst) => {
-                                let key = (version, self.down_epoch, dst);
-                                let path = match self.probe_memo[i] {
-                                    Some((v, e, d, p)) if (v, e, d) == key => p,
-                                    _ => {
-                                        let p = probe_path(
-                                            &env,
-                                            self.cdn,
-                                            self.topo,
-                                            self.prober,
-                                            target,
-                                            dst,
-                                        );
-                                        self.probe_memo[i] = Some((key.0, key.1, key.2, p));
-                                        p
-                                    }
-                                };
-                                match path {
-                                    Some((site, delay)) => ProbeOutcome::Received {
-                                        site,
-                                        at: now + delay,
-                                    },
-                                    None => ProbeOutcome::Lost,
-                                }
-                            }
-                            // Every candidate site is failed: no answer,
-                            // nowhere to connect.
-                            None => ProbeOutcome::Lost,
-                        });
+            SimEvent::ProbeRound => {
+                let Run {
+                    probes,
+                    topo,
+                    bgp,
+                    cdn,
+                    plan,
+                    drain,
+                    ..
+                } = self;
+                probes.round(topo, bgp, cdn, now, |i, target| match drain {
+                    // A de-steered target connects to the address its fresh
+                    // DNS answer names (none when every candidate site is
+                    // failed); everyone else to the technique's probe
+                    // address.
+                    Some(d) if d.resolve_at[i].is_some_and(|t| now >= t) => {
+                        d.auth.resolve(target, now).map(|answer| answer.addr)
                     }
-                }
-                for (i, outcome) in outcomes.into_iter().enumerate() {
-                    if let ProbeOutcome::Received { site, at } = outcome {
-                        self.capture.record(site, at, i as u32, seq);
-                    }
-                    self.log.push(
-                        i,
-                        ProbeRecord {
-                            seq,
-                            sent: now,
-                            outcome,
-                        },
-                    );
-                }
+                    _ => Some(plan.probe_addr()),
+                });
             }
             SimEvent::TrafficTick => {
                 // Strictly observational: reads the FIBs through the same
@@ -683,7 +614,7 @@ impl Handler<SimEvent> for Run<'_> {
                     traffic,
                     topo,
                     bgp,
-                    down,
+                    probes,
                     cdn,
                     plan,
                     rng,
@@ -691,7 +622,11 @@ impl Handler<SimEvent> for Run<'_> {
                     ..
                 } = self;
                 if let Some(tr) = traffic {
-                    let env = ForwardEnv { topo, bgp, down };
+                    let env = ForwardEnv {
+                        topo,
+                        bgp,
+                        down: probes.down(),
+                    };
                     tr.on_tick(now, *t_fail, rng, |client| {
                         walk(&env, client, plan.probe_addr())
                             .delivered_to()
@@ -789,6 +724,16 @@ pub fn try_run_failover_instrumented(
     technique: &Technique,
     failed: SiteId,
 ) -> Result<(FailoverResult, CellPerf), String> {
+    run_cell(testbed, technique, failed).map(|(result, perf, _)| (result, perf))
+}
+
+/// The cell itself, plus the probe plane's work counts (deterministic, but
+/// kept off [`CellPerf`] and the wire: tests pin the probe memo with them).
+fn run_cell(
+    testbed: &Testbed,
+    technique: &Technique,
+    failed: SiteId,
+) -> Result<(FailoverResult, CellPerf, ProbeCounts), String> {
     let wall_start = std::time::Instant::now();
     let cfg = &testbed.cfg;
     cfg.plan.validate();
@@ -824,9 +769,7 @@ pub fn try_run_failover_instrumented(
         cdn,
         plan,
         bgp: BgpSim::from_seed(topo, cfg.timing.clone(), &testbed.bgp_seed),
-        down: Vec::new(),
-        targets: Vec::new(),
-        prober: NodeId(0), // set after target selection
+        probes: ProbePlane::default(), // targets set after selection
         reactions: apply_reaction_fault(
             technique.after(plan, topo, cdn, failed),
             cfg.reaction_fault,
@@ -837,10 +780,6 @@ pub fn try_run_failover_instrumented(
         traffic: None,
         t_fail: SimTime::ZERO,
         rng: &testbed.rng,
-        log: ProbeLog::new(0),
-        capture: SiteCapture::new(cdn.num_sites()),
-        probe_memo: Vec::new(),
-        down_epoch: 0,
         scratch: Vec::with_capacity(64),
         pending_faults: Vec::new(),
     };
@@ -913,7 +852,7 @@ pub fn try_run_failover_instrumented(
         let env = ForwardEnv {
             topo,
             bgp: &run.bgp,
-            down: &run.down,
+            down: run.probes.down(),
         };
         selected
             .into_iter()
@@ -925,15 +864,14 @@ pub fn try_run_failover_instrumented(
             })
             .collect()
     };
-    run.targets = controllable;
-    run.log = ProbeLog::new(run.targets.len());
     // Probe from the first surviving site (the paper probes "from a
     // Peering site other than the failed one").
-    run.prober = cdn
+    let prober = cdn
         .other_sites(failed)
         .map(|s| cdn.node(s))
         .next()
         .expect("at least two sites");
+    run.probes = ProbePlane::pings(topo, prober, controllable);
 
     // The original advertisements (replayed by Announce/SiteRestore ops).
     run.initial_actions = initial;
@@ -955,13 +893,13 @@ pub fn try_run_failover_instrumented(
         // Every target is mapped to the measured site; on failure the
         // authoritative walks the remaining sites in deployment order.
         let ranking: Vec<SiteId> = cdn.sites().collect();
-        for &t in &run.targets {
+        for &t in run.probes.targets() {
             auth.assign(t, failed);
             auth.set_fallback(t, ranking.clone());
         }
         Some(DrainState {
             auth,
-            resolve_at: vec![None; run.targets.len()],
+            resolve_at: vec![None; run.probes.targets().len()],
         })
     } else {
         None
@@ -995,7 +933,7 @@ pub fn try_run_failover_instrumented(
     for k in 0..rounds {
         engine.schedule_at(
             t_fail + cfg.probe.interval.saturating_mul(k as u64),
-            SimEvent::ProbeRound(k),
+            SimEvent::ProbeRound,
         );
     }
     // Demand ticks span the whole run — pre-failure baseline included —
@@ -1017,9 +955,7 @@ pub fn try_run_failover_instrumented(
     engine.run_until(&mut run, t_fail + cfg.probe.duration, cfg.max_events);
 
     // --- Phase 4: metrics. ---
-    let outcomes: Vec<TargetOutcome> = (0..run.log.num_targets())
-        .map(|i| analyze_target(run.log.for_target(i), t_fail))
-        .collect();
+    let outcomes: Vec<TargetOutcome> = run.probes.outcomes(t_fail);
 
     let result = FailoverResult {
         technique: technique.name(),
@@ -1027,10 +963,13 @@ pub fn try_run_failover_instrumented(
         failed_site: failed,
         num_candidates,
         num_selected,
-        num_controllable: run.targets.len(),
+        num_controllable: run.probes.targets().len(),
         outcomes,
         t_fail,
-        traffic: run.traffic.as_ref().map(|t| t.summary(&run.targets)),
+        traffic: run
+            .traffic
+            .as_ref()
+            .map(|t| t.summary(run.probes.targets())),
     };
     testbed.note_peak_queue_depth(engine.peak_pending());
     let perf = CellPerf {
@@ -1039,7 +978,7 @@ pub fn try_run_failover_instrumented(
         queue_capacity: engine.queue_capacity(),
         wall_micros: wall_start.elapsed().as_micros() as u64,
     };
-    Ok((result, perf))
+    Ok((result, perf, run.probes.counts()))
 }
 
 #[cfg(test)]
@@ -1113,6 +1052,27 @@ mod tests {
             "sea1 prepending control suspiciously high: {}",
             r.control_fraction()
         );
+    }
+
+    #[test]
+    fn probe_rounds_walk_only_what_changed() {
+        // Quick scale as the benches run it. Superprefix failover is the
+        // slowest to converge, so it is the cell with the most route churn
+        // during probing — and still most probes find every node on their
+        // path untouched since the previous round.
+        let tb = Testbed::new(ExperimentConfig::quick(42));
+        let site = tb.site("bos");
+        let t = Technique::ProactiveSuperprefix;
+        let (r, _, counts) = run_cell(&tb, &t, site).unwrap();
+        assert!(r.num_controllable > 0);
+        let rounds = u64::from(tb.cfg.probe.probes_per_target());
+        assert_eq!(counts.probes, r.num_controllable as u64 * rounds);
+        // At least one walk per target, far fewer than one per probe.
+        assert!(counts.walks >= r.num_controllable as u64, "{counts:?}");
+        assert!(counts.walks * 4 < counts.probes, "{counts:?}");
+        // The count is a property of the cell, not of the host or the run.
+        let (_, _, again) = run_cell(&tb, &t, site).unwrap();
+        assert_eq!(counts, again);
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub mod dns_experiment;
 pub mod experiment;
 pub mod metrics;
 pub mod plan;
+mod probing;
 pub mod targets;
 pub mod technique;
 pub mod tradeoffs;
@@ -45,7 +46,7 @@ pub use experiment::{
     run_failover, run_failover_instrumented, try_run_failover_instrumented, CellPerf,
     ExperimentConfig, FailoverResult, FailureMode, ReactionFault, SessionModel, Testbed,
 };
-pub use metrics::{analyze_target, TargetOutcome};
+pub use metrics::{analyze_target, OutcomeFold, TargetOutcome};
 pub use plan::AddressPlan;
 pub use targets::select_targets;
 pub use technique::{Action, Technique};

@@ -108,6 +108,63 @@ pub fn analyze_target(records: &[ProbeRecord], t_fail: SimTime) -> TargetOutcome
     }
 }
 
+/// [`analyze_target`] as a streaming fold: push one target's probe outcomes
+/// in send order, and [`finish`](OutcomeFold::finish) returns what
+/// `analyze_target` returns on the same stream — from O(1) state, so a run
+/// keeps no per-probe log. (`analyze_target` stays as the reference the
+/// property tests compare this against.)
+#[derive(Debug, Clone, Default)]
+pub struct OutcomeFold {
+    /// Earliest reply arrival so far (reconnection).
+    earliest: Option<SimTime>,
+    /// The unbroken run of replies at one site the stream currently ends
+    /// in, with the arrival of the run's first reply (failover, final site).
+    run: Option<(SiteId, SimTime)>,
+    /// Site of the latest reply, surviving losses (bounce detection; `Some`
+    /// also means "a first reply has been seen").
+    prev_site: Option<SiteId>,
+    bounces: u32,
+    losses_after_reconnect: u32,
+}
+
+impl OutcomeFold {
+    pub fn push(&mut self, outcome: ProbeOutcome) {
+        match outcome {
+            ProbeOutcome::Received { site, at } => {
+                if self.earliest.is_none_or(|cur| at < cur) {
+                    self.earliest = Some(at);
+                }
+                if self.run.is_none_or(|(s, _)| s != site) {
+                    self.run = Some((site, at));
+                }
+                if self.prev_site.is_some_and(|p| p != site) {
+                    self.bounces += 1;
+                }
+                self.prev_site = Some(site);
+            }
+            ProbeOutcome::Lost => {
+                self.run = None;
+                if self.prev_site.is_some() {
+                    self.losses_after_reconnect += 1;
+                }
+            }
+        }
+    }
+
+    /// The outcome of the stream pushed so far against the failure instant
+    /// `t_fail`.
+    pub fn finish(&self, t_fail: SimTime) -> TargetOutcome {
+        let since_fail = |at: SimTime| at.checked_since(t_fail).unwrap_or(SimDuration::ZERO);
+        TargetOutcome {
+            reconnection: self.earliest.map(since_fail),
+            failover: self.run.map(|(_, at)| since_fail(at)),
+            final_site: self.run.map(|(site, _)| site),
+            bounces: self.bounces,
+            losses_after_reconnect: self.losses_after_reconnect,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

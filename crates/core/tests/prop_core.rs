@@ -1,11 +1,36 @@
 //! Property tests for the core crate's pure logic: the §5.4.1 metric
 //! extraction and the Table-2 rubric, under arbitrary inputs.
 
-use bobw_core::{analyze_target, derive_tradeoffs, MeasuredTechnique, Rating, Technique};
+use bobw_core::{
+    analyze_target, derive_tradeoffs, MeasuredTechnique, OutcomeFold, Rating, Technique,
+};
 use bobw_dataplane::{ProbeOutcome, ProbeRecord};
 use bobw_event::SimTime;
 use bobw_topology::SiteId;
 use proptest::prelude::*;
+
+/// A probe record stream from per-probe `None` (lost) / `Some((site,
+/// arrival delay in s))`, one probe every 2 s from `T_FAIL`.
+fn records(outcomes: &[Option<(u8, u64)>]) -> Vec<ProbeRecord> {
+    outcomes
+        .iter()
+        .enumerate()
+        .map(|(i, o)| {
+            let sent = SimTime::from_secs(100 + 2 * i as u64);
+            ProbeRecord {
+                seq: i as u32,
+                sent,
+                outcome: match *o {
+                    None => ProbeOutcome::Lost,
+                    Some((site, delay)) => ProbeOutcome::Received {
+                        site: SiteId(site),
+                        at: sent + bobw_event::SimDuration::from_secs(delay),
+                    },
+                },
+            }
+        })
+        .collect()
+}
 
 /// Arbitrary probe record streams: per probe, either lost or received at
 /// one of 4 sites with a small arrival delay.
@@ -17,31 +42,62 @@ fn arb_records() -> impl Strategy<Value = Vec<ProbeRecord>> {
         ],
         0..60,
     )
-    .prop_map(|outcomes| {
-        outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(i, o)| {
-                let sent = SimTime::from_secs(100 + 2 * i as u64);
-                ProbeRecord {
-                    seq: i as u32,
-                    sent,
-                    outcome: match o {
-                        None => ProbeOutcome::Lost,
-                        Some((site, delay)) => ProbeOutcome::Received {
-                            site: SiteId(site),
-                            at: sent + bobw_event::SimDuration::from_secs(delay),
-                        },
-                    },
-                }
-            })
-            .collect()
-    })
+    .prop_map(|outcomes| records(&outcomes))
+}
+
+/// The streaming fold's answer on `records`, pushed in order.
+fn folded(records: &[ProbeRecord], t_fail: SimTime) -> bobw_core::TargetOutcome {
+    let mut fold = OutcomeFold::default();
+    for r in records {
+        fold.push(r.outcome);
+    }
+    fold.finish(t_fail)
+}
+
+/// The shapes the random generator rarely lands on exactly: nothing probed,
+/// nothing answered, and a loss followed by a site switch (the fold must
+/// remember the pre-loss site to count the bounce, and must restart the
+/// stable run at the loss).
+#[test]
+fn fold_matches_analyze_target_on_edge_streams() {
+    let streams: [&[Option<(u8, u64)>]; 6] = [
+        &[],
+        &[None, None, None],
+        &[Some((1, 1)), None, Some((2, 0)), Some((2, 1))],
+        &[None, Some((1, 0)), None, None, Some((1, 0))],
+        // A later probe's reply overtakes an earlier one's.
+        &[Some((0, 2)), Some((0, 0)), Some((3, 0))],
+        &[Some((2, 1)), None],
+    ];
+    for s in streams {
+        let recs = records(s);
+        // Before, at and after the first arrivals: exercises the clamp.
+        for t_fail in [T_FAIL, SimTime::from_secs(103), SimTime::from_secs(500)] {
+            assert_eq!(
+                folded(&recs, t_fail),
+                analyze_target(&recs, t_fail),
+                "{s:?}"
+            );
+        }
+    }
 }
 
 const T_FAIL: SimTime = SimTime::from_secs(100);
 
 proptest! {
+    /// The streaming fold the experiment loops run is `analyze_target`, on
+    /// any stream and after every prefix of it.
+    #[test]
+    fn fold_matches_analyze_target(records in arb_records(), t_fail_s in 90u64..230) {
+        let t_fail = SimTime::from_secs(t_fail_s);
+        let mut fold = OutcomeFold::default();
+        prop_assert_eq!(fold.finish(t_fail), analyze_target(&[], t_fail));
+        for (i, r) in records.iter().enumerate() {
+            fold.push(r.outcome);
+            prop_assert_eq!(fold.finish(t_fail), analyze_target(&records[..=i], t_fail));
+        }
+    }
+
     /// Invariants of the metric extraction, for any probe stream:
     /// reconnection ≤ failover, failover implies a final site, the final
     /// site matches the last received record, and bounce/loss counters are

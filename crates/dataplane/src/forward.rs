@@ -57,44 +57,117 @@ impl Delivery {
     }
 }
 
+/// Most nodes a walk may read and still report them as [`WalkDeps`].
+/// AS-level paths are short (mean ~4 hops at eval scale); a longer walk is
+/// reported as untracked and its result should simply not be cached.
+pub const MAX_DEPS: usize = 8;
+
+/// The nodes whose forwarding state one walk read: every node it entered
+/// (FIB lookup, and both ends' `fwd_up` for each link crossed) plus, on
+/// [`Delivery::DeadLink`], the far end of the dead link. The walk's result
+/// is a pure function of these nodes' forwarding state, the destination and
+/// the down set — and of nothing else in the simulator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WalkDeps {
+    nodes: [NodeId; MAX_DEPS],
+    len: u8,
+}
+
+impl WalkDeps {
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes[..self.len as usize]
+    }
+
+    /// Sum of the nodes' [`BgpSim::forwarding_version`]s. The versions are
+    /// monotone, so the sum equals an earlier reading of it iff every one of
+    /// them does: the walk would replay hop for hop.
+    pub fn version_sum(&self, bgp: &BgpSim) -> u64 {
+        self.nodes()
+            .iter()
+            .map(|&n| bgp.forwarding_version(n))
+            .sum()
+    }
+}
+
+/// Every node a walk entered, in order, in a fixed array (the hop budget
+/// bounds it): doubles as the loop-detection set, so a walk allocates
+/// nothing.
+struct Trail {
+    nodes: [NodeId; MAX_HOPS + 1],
+    len: usize,
+    /// On `DeadLink`: the next hop whose `fwd_up` was consulted.
+    far_end: Option<NodeId>,
+}
+
+impl Trail {
+    fn new() -> Trail {
+        Trail {
+            nodes: [NodeId(0); MAX_HOPS + 1],
+            len: 0,
+            far_end: None,
+        }
+    }
+
+    fn entered(&self) -> &[NodeId] {
+        &self.nodes[..self.len]
+    }
+}
+
 /// Forwards a packet from `from` toward `dst`, following each node's
 /// current FIB. Returns where (and whether) it arrived.
 pub fn walk(env: &ForwardEnv<'_>, from: NodeId, dst: Ipv4Net) -> Delivery {
-    walk_inner(env, from, dst, None)
+    walk_inner(env, from, dst, &mut Trail::new())
 }
 
 /// Like [`walk`], but also returns the node path traversed (including the
 /// source and the final node). Used by the Appendix C.1 divergence
 /// analysis, which compares AS-level paths the way reverse traceroute does.
 pub fn walk_with_path(env: &ForwardEnv<'_>, from: NodeId, dst: Ipv4Net) -> (Delivery, Vec<NodeId>) {
-    let mut path = Vec::with_capacity(8);
-    let d = walk_inner(env, from, dst, Some(&mut path));
-    (d, path)
+    let mut trail = Trail::new();
+    let d = walk_inner(env, from, dst, &mut trail);
+    (d, trail.entered().to_vec())
 }
 
-fn walk_inner(
+/// Like [`walk`], but also reports which nodes' forwarding state the walk
+/// read, or `None` when there were more than [`MAX_DEPS`] of them.
+pub fn walk_with_deps(
     env: &ForwardEnv<'_>,
     from: NodeId,
     dst: Ipv4Net,
-    mut record: Option<&mut Vec<NodeId>>,
-) -> Delivery {
+) -> (Delivery, Option<WalkDeps>) {
+    let mut trail = Trail::new();
+    let d = walk_inner(env, from, dst, &mut trail);
+    let entered = trail.entered();
+    if entered.len() + usize::from(trail.far_end.is_some()) > MAX_DEPS {
+        return (d, None);
+    }
+    let mut deps = WalkDeps {
+        nodes: [NodeId(0); MAX_DEPS],
+        len: entered.len() as u8,
+    };
+    deps.nodes[..entered.len()].copy_from_slice(entered);
+    if let Some(far_end) = trail.far_end {
+        deps.nodes[entered.len()] = far_end;
+        deps.len += 1;
+    }
+    (d, Some(deps))
+}
+
+fn walk_inner(env: &ForwardEnv<'_>, from: NodeId, dst: Ipv4Net, trail: &mut Trail) -> Delivery {
     let mut node = from;
     let mut hops = 0usize;
     let mut latency = SimDuration::ZERO;
-    // Visited set for loop detection; paths are short so a vec scan beats
-    // hashing.
-    let mut visited: Vec<NodeId> = Vec::with_capacity(8);
     loop {
-        if let Some(rec) = record.as_deref_mut() {
-            rec.push(node);
-        }
+        // Paths are short, so scanning the trail beats hashing.
+        let revisited = trail.entered().contains(&node);
+        trail.nodes[trail.len] = node;
+        trail.len += 1;
         if env.is_down(node) {
             return Delivery::DeadNode { at: node, hops };
         }
-        if visited.contains(&node) {
+        if revisited {
             return Delivery::Loop { at: node, hops };
         }
-        visited.push(node);
         match env.bgp.fib_lookup(node, dst) {
             None => return Delivery::Blackhole { at: node, hops },
             Some((_, NextHop::Local)) => {
@@ -106,6 +179,7 @@ fn walk_inner(
             }
             Some((_, NextHop::Via(next))) => {
                 if !env.bgp.link_is_up(node, next) {
+                    trail.far_end = Some(next);
                     return Delivery::DeadLink { at: node, hops };
                 }
                 let link = env
@@ -194,6 +268,134 @@ mod tests {
         let (d, path) = walk_with_path(&env, leaf2, pre.addr_at(1));
         assert!(matches!(d, Delivery::Delivered { .. }));
         assert_eq!(path, vec![leaf2, t1, mid, leaf]);
+    }
+
+    #[test]
+    fn deps_are_the_path_walked() {
+        let (topo, t1, mid, leaf, leaf2) = chain();
+        let pre = p("184.164.244.0/24");
+        let s = converged(&topo, leaf, pre);
+        let down = [leaf];
+        for down in [&[][..], &down[..]] {
+            let env = ForwardEnv {
+                topo: &topo,
+                bgp: s.sim(),
+                down,
+            };
+            // Delivered, DeadNode (site down) and Blackhole (no such prefix).
+            for dst in [pre.addr_at(1), p("9.9.9.0/24").addr_at(1)] {
+                let (d, path) = walk_with_path(&env, leaf2, dst);
+                let (d2, deps) = walk_with_deps(&env, leaf2, dst);
+                assert_eq!(d, d2);
+                assert_eq!(d, walk(&env, leaf2, dst));
+                assert_eq!(deps.expect("short path is tracked").nodes(), &path[..]);
+            }
+        }
+        let env = ForwardEnv {
+            topo: &topo,
+            bgp: s.sim(),
+            down: &[],
+        };
+        let (_, deps) = walk_with_deps(&env, leaf2, pre.addr_at(1));
+        let deps = deps.unwrap();
+        assert_eq!(deps.nodes(), &[leaf2, t1, mid, leaf]);
+        assert_eq!(deps.version_sum(s.sim()), {
+            let v = |n| s.sim().forwarding_version(n);
+            v(leaf2) + v(t1) + v(mid) + v(leaf)
+        });
+    }
+
+    #[test]
+    fn dead_link_deps_include_the_far_end() {
+        let (topo, t1, mid, leaf, leaf2) = chain();
+        let pre = p("184.164.244.0/24");
+        let mut s = converged(&topo, leaf, pre);
+        // Cut mid—leaf silently: until the hold timers fire, mid's FIB still
+        // points across the dead link.
+        s.fail_link(mid, leaf);
+        let env = ForwardEnv {
+            topo: &topo,
+            bgp: s.sim(),
+            down: &[],
+        };
+        let (d, path) = walk_with_path(&env, leaf2, pre.addr_at(1));
+        assert_eq!(d, Delivery::DeadLink { at: mid, hops: 2 });
+        assert_eq!(path, vec![leaf2, t1, mid]);
+        let (d2, deps) = walk_with_deps(&env, leaf2, pre.addr_at(1));
+        assert_eq!(d, d2);
+        // The walk consulted leaf's half of the link without entering it.
+        assert_eq!(deps.unwrap().nodes(), &[leaf2, t1, mid, leaf]);
+    }
+
+    /// `n` nodes in a provider→customer line, the last one originating.
+    fn line(n: u32) -> (Topology, Vec<NodeId>) {
+        let mut t = Topology::new();
+        let c = REGIONS[0].center;
+        let nodes: Vec<NodeId> = (0..n)
+            .map(|i| t.add_node(Asn(10 + i), NodeKind::Transit, c, 0))
+            .collect();
+        for w in nodes.windows(2) {
+            t.link_provider_customer(w[0], w[1]);
+        }
+        (t, nodes)
+    }
+
+    #[test]
+    fn walks_reading_more_than_max_deps_nodes_are_untracked() {
+        let pre = p("184.164.244.0/24");
+        for (n, tracked) in [(MAX_DEPS as u32, true), (MAX_DEPS as u32 + 1, false)] {
+            let (topo, nodes) = line(n);
+            let s = converged(&topo, *nodes.last().unwrap(), pre);
+            let env = ForwardEnv {
+                topo: &topo,
+                bgp: s.sim(),
+                down: &[],
+            };
+            let (d, path) = walk_with_path(&env, nodes[0], pre.addr_at(1));
+            assert_eq!(d.delivered_to(), nodes.last().copied());
+            assert_eq!(path, nodes);
+            let (d2, deps) = walk_with_deps(&env, nodes[0], pre.addr_at(1));
+            assert_eq!(d, d2);
+            assert_eq!(deps.is_some(), tracked, "{n}-node path");
+        }
+    }
+
+    #[test]
+    fn transient_forwarding_loop_is_reported_with_the_repeated_node() {
+        // o buys transit from a and b, which peer. After o withdraws, each
+        // provider in turn falls back to the other's not-yet-withdrawn
+        // route: for an instant their FIBs point at each other.
+        let mut topo = Topology::new();
+        let c = REGIONS[0].center;
+        let a = topo.add_node(Asn(10), NodeKind::Transit, c, 0);
+        let b = topo.add_node(Asn(20), NodeKind::Transit, c, 0);
+        let o = topo.add_node(Asn(30), NodeKind::Stub, c, 0);
+        topo.link_provider_customer(a, o);
+        topo.link_provider_customer(b, o);
+        topo.link_peers(a, b);
+        let pre = p("184.164.244.0/24");
+        let mut s = converged(&topo, o, pre);
+        s.withdraw(o, pre);
+        let mut looped = false;
+        while s.pending_events() > 0 {
+            s.run_to_idle(1);
+            let env = ForwardEnv {
+                topo: &topo,
+                bgp: s.sim(),
+                down: &[],
+            };
+            let (d, path) = walk_with_path(&env, a, pre.addr_at(1));
+            if let Delivery::Loop { at, hops } = d {
+                looped = true;
+                assert_eq!((at, hops), (a, 2));
+                assert_eq!(path, vec![a, b, a]);
+                let (d2, deps) = walk_with_deps(&env, a, pre.addr_at(1));
+                assert_eq!(d, d2);
+                assert_eq!(deps.unwrap().nodes(), &path[..]);
+            }
+        }
+        assert!(looped, "withdrawal never produced the a<->b loop");
+        assert_eq!(s.sim().fib_lookup(a, pre.addr_at(1)), None);
     }
 
     #[test]

@@ -13,21 +13,19 @@
 //!   hop by hop, so packets die in exactly the ways BGP convergence lets
 //!   them die — blackholed at a router with no route, looping between
 //!   routers holding mutually stale routes, or arriving at a failed site.
-//! * [`probe`] implements the paper's probing protocol, including sequence
-//!   numbers (to detect disconnection) and the per-site capture logs that
-//!   stand in for `tcpdump`.
+//! * [`probe`] holds the paper's probing protocol: the probing parameters
+//!   and the per-probe record, with sequence numbers (to detect
+//!   disconnection) and the site each reply landed at.
 //! * [`mod@catchment`] computes which site each client AS reaches — the basis
 //!   of the paper's target selection ("not routed to the site by anycast")
 //!   and Table 1's traffic-control percentages.
 
-pub mod capture;
 pub mod catchment;
 pub mod forward;
 pub mod packet;
 pub mod probe;
 
-pub use capture::SiteCapture;
 pub use catchment::{catchment, rtt_to_site};
-pub use forward::{walk, walk_with_path, Delivery, ForwardEnv};
+pub use forward::{walk, walk_with_deps, walk_with_path, Delivery, ForwardEnv, WalkDeps};
 pub use packet::{internet_checksum, IcmpEcho, PacketError, ETHICS_PAYLOAD};
-pub use probe::{probe_once, probe_path, ProbeConfig, ProbeLog, ProbeOutcome, ProbeRecord};
+pub use probe::{ProbeConfig, ProbeOutcome, ProbeRecord};
