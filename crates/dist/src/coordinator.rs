@@ -197,18 +197,17 @@ impl WorkerPort {
         match recv::<_, Greeting>(&mut reader) {
             Ok(Some(Greeting::Worker(hello))) => self.adopt_worker(reader, writer, hello, &nonce),
             Ok(Some(Greeting::Client(hello))) => {
+                // A version-skewed client hears about the skew first.
+                let reason = vet_client(&hello, &nonce, None).err().unwrap_or_else(|| {
+                    "this endpoint is a batch coordinator, not a job service \
+                     (start one with `bobw serve`)"
+                        .into()
+                });
                 eprintln!(
-                    "[coordinator] rejecting client {}: not a job service",
+                    "[coordinator] rejecting client {}: {reason}",
                     hello.client_name
                 );
-                let _ = send(
-                    &mut writer,
-                    &HelloReply::Rejected {
-                        reason: "this endpoint is a batch coordinator, not a job service \
-                                 (start one with `bobw serve`)"
-                            .into(),
-                    },
-                );
+                let _ = send(&mut writer, &HelloReply::Rejected { reason });
             }
             // Garbage or no greeting at all: drop the connection.
             _ => {}

@@ -18,11 +18,12 @@
 //!   produces the same worlds, builds a local `Testbed` from the config
 //!   shipped in each batch, and streams back `(cell_index, result,
 //!   CellPerf)` records.
-//! * [`wire`] — the hand-rolled binary codec (the vendored serde stub
-//!   cannot deserialize) with exact `f64` bit-pattern round-trips, plus
+//! * [`wire`] — the binary codec for messages and results, with exact
+//!   `f64` bit-pattern round-trips, `wire_struct!` / `wire_enum!`, and
 //!   the length-prefixed frame layer.
 //! * [`proto`] — the message set and the `Wire` encodings of the
-//!   experiment config/result types.
+//!   experiment result types; the experiment config crosses as its
+//!   canonical JSON.
 //! * [`endpoint`] — `tcp://host:port` and `unix://path` transports.
 //! * [`interrupt`] — Ctrl-C detection for the coordinator's graceful
 //!   drain.

@@ -1,4 +1,4 @@
-//! Protocol messages and [`Wire`] encodings for the experiment types.
+//! Protocol messages and their [`Wire`] encodings.
 //!
 //! The coordinator ships the **full `ExperimentConfig`** in each batch
 //! header rather than asking workers to reconstruct it from CLI flags:
@@ -6,6 +6,17 @@
 //! delay, flap damping, reaction faults, …) that no flag set could
 //! express, and a worker building even a slightly different config would
 //! silently produce different — deterministically wrong — results.
+//!
+//! The config crosses as **one length-prefixed string holding its
+//! canonical JSON**, re-parsed with the typed deserializer on arrival. So
+//! a new config knob needs no encoder and no protocol bump, and a worker
+//! rejects a structurally invalid config (scenario included) at decode
+//! time. [`config_fingerprint`] hashes that same JSON; the worker re-hashes
+//! what it decoded and refuses the batch unless the two agree, which makes
+//! the fingerprint the guard that decode ∘ encode is the identity.
+//! Everything else is binary: messages are `wire_struct!` / `wire_enum!`
+//! encodings, and cell results keep the exact `f64` bits that
+//! byte-identical distributed results rest on.
 //!
 //! The *handshake* fingerprint guards against a subtler hazard: two
 //! builds that parse the same config but whose topology generators (or
@@ -17,15 +28,13 @@
 
 use std::sync::OnceLock;
 
-use bobw_core::{
-    CellPerf, ControlResult, ExperimentConfig, FailoverResult, FailureMode, ReactionFault,
-};
+use bobw_core::{CellPerf, ControlResult, ExperimentConfig, FailoverResult};
 use bobw_event::{RngFactory, SimDuration, SimTime};
-use bobw_net::Prefix;
-use bobw_topology::{generate, GenConfig, SiteAttachment, SiteId, SiteSpec};
+use bobw_topology::{generate, SiteId};
+use serde::{Serialize, Value};
 
 use crate::wire::{Wire, WireError};
-use crate::wire_struct;
+use crate::{wire_enum, wire_struct};
 
 /// Bump on any incompatible change to the message set or an encoding.
 /// v2: `ExperimentConfig` carries an optional fault scenario.
@@ -38,10 +47,12 @@ use crate::wire_struct;
 /// volume.
 /// v5: `CellPerf` reports the final event-queue capacity.
 /// v6: `ExperimentConfig` carries the session model (abstract vs
-/// message-level FSMs) and `TrafficConfig` carries per-region capacity
+/// message-level FSMs) and the traffic config carries per-region capacity
 /// overrides. Scenarios still cross as JSON, so the session-fault actions
 /// need no encoding change.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// v7: `ExperimentConfig` crosses as its canonical JSON, so config fields
+/// no longer touch the protocol. Every other message keeps its v6 bytes.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 // ---------------------------------------------------------------------------
 // Fingerprints
@@ -59,25 +70,43 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Fingerprint of this *build's* experiment semantics: protocol version
-/// plus the JSON of a topology generated from a fixed canonical config.
-/// Two binaries agree iff their generators (and the RNG streams beneath
-/// them) produce identical worlds.
+/// plus the JSON of the topology the quick-scale config generates. Two
+/// binaries agree iff their generators (and the RNG streams beneath them)
+/// produce identical worlds.
 pub fn build_fingerprint() -> u64 {
     static FP: OnceLock<u64> = OnceLock::new();
     *FP.get_or_init(|| {
-        let cfg = GenConfig::tiny();
+        let cfg = ExperimentConfig::quick(0);
         let rng = RngFactory::new(0xb0b3_d157);
-        let (topo, _) = generate(&cfg, &rng);
+        let (topo, _) = generate(&cfg.gen, &rng);
         let json = serde_json::to_string(&topo).expect("topology serializes");
         fnv1a(json.as_bytes()) ^ ((PROTOCOL_VERSION as u64) << 56)
     })
 }
 
-/// Fingerprint of one experiment config — the worker's testbed cache key
-/// and a per-batch sanity check.
+/// Fingerprint of one experiment config: the FNV of its canonical JSON.
+/// It is the worker's testbed cache key and the per-batch check that the
+/// config survived the wire. JSON writes a non-finite float as `null`,
+/// which decodes to something else or not at all, so a config holding
+/// one gets a fingerprint no decoded config can match.
 pub fn config_fingerprint(cfg: &ExperimentConfig) -> u64 {
-    let json = serde_json::to_string(cfg).expect("config serializes");
-    fnv1a(json.as_bytes())
+    let value = cfg.to_value();
+    let json = serde_json::to_string(&value).expect("config serializes");
+    let print = fnv1a(json.as_bytes());
+    if has_non_finite(&value) {
+        !print
+    } else {
+        print
+    }
+}
+
+fn has_non_finite(v: &Value) -> bool {
+    match v {
+        Value::Float(f) => !f.is_finite(),
+        Value::Array(items) => items.iter().any(has_non_finite),
+        Value::Object(entries) => entries.iter().any(|(_, v)| has_non_finite(v)),
+        _ => false,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -243,224 +272,77 @@ wire_struct!(Challenge {
     auth_required
 });
 
-impl Wire for Greeting {
+wire_enum!(Greeting {
+    Worker(hello),
+    Client(hello)
+});
+
+wire_enum!(HelloReply {
+    Welcome,
+    Rejected { reason }
+});
+
+wire_enum!(CellSpec {
+    Failover { technique, site },
+    Control { site, prepends }
+});
+
+wire_enum!(CellOutput {
+    Failover(result, perf),
+    Control(result, perf)
+});
+
+wire_enum!(ToWorker {
+    Batch {
+        batch_id,
+        config_print,
+        config
+    },
+    Assign {
+        batch_id,
+        cell_index,
+        cell
+    },
+    Drain,
+    Shutdown
+});
+
+wire_enum!(FromWorker {
+    Ready { cache_hit },
+    Heartbeat {
+        batch_id,
+        cell_index
+    },
+    Done {
+        batch_id,
+        cell_index,
+        output
+    },
+    Failed {
+        batch_id,
+        cell_index,
+        error
+    }
+});
+
+// Configs cross the wire as their canonical JSON and are re-parsed with
+// the *typed* deserializer on arrival, so a worker rejects a structurally
+// invalid config at decode time — before it can build a testbed from it.
+impl Wire for ExperimentConfig {
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Greeting::Worker(h) => {
-                0u32.encode(out);
-                h.encode(out);
-            }
-            Greeting::Client(h) => {
-                1u32.encode(out);
-                h.encode(out);
-            }
-        }
+        serde_json::to_string(self)
+            .expect("config serializes")
+            .encode(out);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(Greeting::Worker(Hello::decode(buf)?)),
-            1 => Ok(Greeting::Client(ClientHello::decode(buf)?)),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-impl Wire for HelloReply {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            HelloReply::Welcome => 0u32.encode(out),
-            HelloReply::Rejected { reason } => {
-                1u32.encode(out);
-                reason.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(HelloReply::Welcome),
-            1 => Ok(HelloReply::Rejected {
-                reason: String::decode(buf)?,
-            }),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-impl Wire for CellSpec {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CellSpec::Failover { technique, site } => {
-                0u32.encode(out);
-                technique.encode(out);
-                site.encode(out);
-            }
-            CellSpec::Control { site, prepends } => {
-                1u32.encode(out);
-                site.encode(out);
-                prepends.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(CellSpec::Failover {
-                technique: String::decode(buf)?,
-                site: String::decode(buf)?,
-            }),
-            1 => Ok(CellSpec::Control {
-                site: String::decode(buf)?,
-                prepends: Vec::decode(buf)?,
-            }),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-impl Wire for CellOutput {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CellOutput::Failover(r, p) => {
-                0u32.encode(out);
-                r.encode(out);
-                p.encode(out);
-            }
-            CellOutput::Control(r, p) => {
-                1u32.encode(out);
-                r.encode(out);
-                p.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(CellOutput::Failover(
-                FailoverResult::decode(buf)?,
-                CellPerf::decode(buf)?,
-            )),
-            1 => Ok(CellOutput::Control(
-                ControlResult::decode(buf)?,
-                CellPerf::decode(buf)?,
-            )),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-impl Wire for ToWorker {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ToWorker::Batch {
-                batch_id,
-                config_print,
-                config,
-            } => {
-                0u32.encode(out);
-                batch_id.encode(out);
-                config_print.encode(out);
-                config.encode(out);
-            }
-            ToWorker::Assign {
-                batch_id,
-                cell_index,
-                cell,
-            } => {
-                1u32.encode(out);
-                batch_id.encode(out);
-                cell_index.encode(out);
-                cell.encode(out);
-            }
-            ToWorker::Drain => 2u32.encode(out),
-            ToWorker::Shutdown => 3u32.encode(out),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(ToWorker::Batch {
-                batch_id: u64::decode(buf)?,
-                config_print: u64::decode(buf)?,
-                config: Box::new(ExperimentConfig::decode(buf)?),
-            }),
-            1 => Ok(ToWorker::Assign {
-                batch_id: u64::decode(buf)?,
-                cell_index: u64::decode(buf)?,
-                cell: CellSpec::decode(buf)?,
-            }),
-            2 => Ok(ToWorker::Drain),
-            3 => Ok(ToWorker::Shutdown),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-impl Wire for FromWorker {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            FromWorker::Ready { cache_hit } => {
-                0u32.encode(out);
-                cache_hit.encode(out);
-            }
-            FromWorker::Heartbeat {
-                batch_id,
-                cell_index,
-            } => {
-                1u32.encode(out);
-                batch_id.encode(out);
-                cell_index.encode(out);
-            }
-            FromWorker::Done {
-                batch_id,
-                cell_index,
-                output,
-            } => {
-                2u32.encode(out);
-                batch_id.encode(out);
-                cell_index.encode(out);
-                output.encode(out);
-            }
-            FromWorker::Failed {
-                batch_id,
-                cell_index,
-                error,
-            } => {
-                3u32.encode(out);
-                batch_id.encode(out);
-                cell_index.encode(out);
-                error.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(FromWorker::Ready {
-                cache_hit: bool::decode(buf)?,
-            }),
-            1 => Ok(FromWorker::Heartbeat {
-                batch_id: u64::decode(buf)?,
-                cell_index: u64::decode(buf)?,
-            }),
-            2 => Ok(FromWorker::Done {
-                batch_id: u64::decode(buf)?,
-                cell_index: u64::decode(buf)?,
-                output: Box::new(CellOutput::decode(buf)?),
-            }),
-            3 => Ok(FromWorker::Failed {
-                batch_id: u64::decode(buf)?,
-                cell_index: u64::decode(buf)?,
-                error: String::decode(buf)?,
-            }),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
+        let json = String::decode(buf)?;
+        serde_json::from_str_typed(&json).map_err(|_| WireError::Invalid("malformed config"))
     }
 }
 
 // ---------------------------------------------------------------------------
-// Wire impls — simulator time, ids, prefixes
+// Wire impls — results
 // ---------------------------------------------------------------------------
 
 impl Wire for SimDuration {
@@ -492,224 +374,6 @@ impl Wire for SiteId {
         Ok(SiteId(u8::decode(buf)?))
     }
 }
-
-impl Wire for Prefix {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.bits().encode(out);
-        self.len().encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let bits = u32::decode(buf)?;
-        let len = u8::decode(buf)?;
-        if len > 32 {
-            return Err(WireError::Invalid("prefix length > 32"));
-        }
-        Ok(Prefix::new(bits, len))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Wire impls — experiment configuration
-// ---------------------------------------------------------------------------
-
-impl Wire for SiteAttachment {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let (d, n) = match self {
-            SiteAttachment::TransitProviders(n) => (0u32, *n),
-            SiteAttachment::RemoteTransitProviders(n) => (1, *n),
-            SiteAttachment::Tier1Providers(n) => (2, *n),
-            SiteAttachment::ResearchEduProviders(n) => (3, *n),
-            SiteAttachment::EyeballPeers(n) => (4, *n),
-            SiteAttachment::TransitPeers(n) => (5, *n),
-        };
-        d.encode(out);
-        n.encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let d = u32::decode(buf)?;
-        let n = usize::decode(buf)?;
-        Ok(match d {
-            0 => SiteAttachment::TransitProviders(n),
-            1 => SiteAttachment::RemoteTransitProviders(n),
-            2 => SiteAttachment::Tier1Providers(n),
-            3 => SiteAttachment::ResearchEduProviders(n),
-            4 => SiteAttachment::EyeballPeers(n),
-            5 => SiteAttachment::TransitPeers(n),
-            d => return Err(WireError::BadDiscriminant(d)),
-        })
-    }
-}
-
-wire_struct!(SiteSpec {
-    name,
-    region,
-    attachments
-});
-
-wire_struct!(GenConfig {
-    tier1,
-    transit,
-    rne,
-    eyeballs,
-    stubs,
-    transit_peer_prob,
-    transit_cross_peers,
-    stub_rne_fraction,
-    transit_extra_tier1,
-    eyeball_providers,
-    stub_providers,
-    rne_peers,
-    ixps,
-    ixp_member_prob,
-    sites
-});
-
-wire_struct!(bobw_bgp::DampingConfig {
-    withdrawal_penalty,
-    update_penalty,
-    suppress_threshold,
-    reuse_threshold,
-    half_life,
-    max_penalty
-});
-
-wire_struct!(bobw_bgp::BgpTimingConfig {
-    mrai_min_s,
-    mrai_max_s,
-    mrai_jitter_lo,
-    mrai_jitter_hi,
-    announce_proc_median_s,
-    announce_proc_sigma,
-    withdraw_proc_median_s,
-    withdraw_proc_sigma,
-    mrai_slow_fraction,
-    mrai_slow_multiplier,
-    hold_time_s,
-    flap_damping,
-    withdrawal_rate_limiting
-});
-
-wire_struct!(bobw_dataplane::ProbeConfig {
-    interval,
-    duration,
-    source_offset
-});
-
-wire_struct!(bobw_core::AddressPlan {
-    covering,
-    specific,
-    rtt_probe,
-    anycast_probe,
-    source_offset,
-    site_block
-});
-
-impl Wire for FailureMode {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            FailureMode::GracefulWithdrawal => 0u32.encode(out),
-            FailureMode::SilentCrash => 1u32.encode(out),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(FailureMode::GracefulWithdrawal),
-            1 => Ok(FailureMode::SilentCrash),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-impl Wire for ReactionFault {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ReactionFault::SkipSites(n) => {
-                0u32.encode(out);
-                n.encode(out);
-            }
-            ReactionFault::WrongPrefix => 1u32.encode(out),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(ReactionFault::SkipSites(usize::decode(buf)?)),
-            1 => Ok(ReactionFault::WrongPrefix),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-// Scenarios cross the wire as their canonical JSON and are re-parsed with
-// the *typed* deserializer on arrival, so a worker rejects a structurally
-// invalid scenario at decode time — before it can build a testbed from it.
-impl Wire for bobw_scenario::Scenario {
-    fn encode(&self, out: &mut Vec<u8>) {
-        serde_json::to_string(self)
-            .expect("scenario serializes")
-            .encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let json = String::decode(buf)?;
-        serde_json::from_str_typed(&json).map_err(|_| WireError::Invalid("malformed scenario"))
-    }
-}
-
-impl Wire for bobw_core::SessionModel {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            bobw_core::SessionModel::Abstract => 0u32.encode(out),
-            bobw_core::SessionModel::MessageLevel => 1u32.encode(out),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(bobw_core::SessionModel::Abstract),
-            1 => Ok(bobw_core::SessionModel::MessageLevel),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-wire_struct!(ExperimentConfig {
-    gen,
-    timing,
-    probe,
-    plan,
-    targets_per_site,
-    proximity_ms,
-    detection_delay,
-    failure_mode,
-    reaction_fault,
-    pre_failure_flaps,
-    scenario,
-    traffic,
-    session_model,
-    seed,
-    max_events
-});
-
-wire_struct!(bobw_core::RegionCapacity { region, factor });
-
-wire_struct!(bobw_core::TrafficConfig {
-    capacity_headroom,
-    utilization_ceiling,
-    tick_interval_s,
-    control_every,
-    resteer_ttl_s,
-    diurnal_amplitude,
-    diurnal_period_s,
-    region_capacity
-});
-
-// ---------------------------------------------------------------------------
-// Wire impls — results
-// ---------------------------------------------------------------------------
 
 wire_struct!(bobw_core::TargetOutcome {
     reconnection,
@@ -763,11 +427,11 @@ wire_struct!(CellPerf {
 mod tests {
     use super::*;
     use crate::wire::{decode_exact, encode_vec};
+    use bobw_core::{FailureMode, ReactionFault};
 
-    #[test]
-    fn experiment_config_round_trips_exactly() {
-        // A config with every optional knob exercised — the ablation bins'
-        // mutations must survive the wire bit-for-bit.
+    /// A config with every optional knob exercised — the ablation bins'
+    /// mutations must survive the wire exactly.
+    fn every_knob_config() -> ExperimentConfig {
         let mut cfg = ExperimentConfig::quick(99);
         cfg.timing.flap_damping = Some(bobw_bgp::DampingConfig::default());
         cfg.timing.withdrawal_rate_limiting = true;
@@ -793,15 +457,55 @@ mod tests {
             ..Default::default()
         });
         cfg.session_model = bobw_core::SessionModel::MessageLevel;
-        let bytes = encode_vec(&cfg);
-        let back: ExperimentConfig = decode_exact(&bytes).unwrap();
-        // The vendored serde can't derive PartialEq-able configs, but JSON
-        // rendering is canonical: equal JSON ⇒ equal config.
+        cfg
+    }
+
+    #[test]
+    fn experiment_config_round_trips_exactly() {
+        for cfg in [
+            ExperimentConfig::quick(3),
+            ExperimentConfig::eval(42),
+            every_knob_config(),
+        ] {
+            let json = serde_json::to_string(&cfg).unwrap();
+            let bytes = encode_vec(&cfg);
+            // On the wire the config is exactly its length-prefixed JSON.
+            assert_eq!(bytes, encode_vec(&json));
+            let back: ExperimentConfig = decode_exact(&bytes).unwrap();
+            // The vendored serde can't derive PartialEq-able configs, but JSON
+            // rendering is canonical: equal JSON ⇒ equal config.
+            assert_eq!(serde_json::to_string(&back).unwrap(), json);
+            assert_eq!(encode_vec(&back), bytes);
+            assert_eq!(config_fingerprint(&cfg), config_fingerprint(&back));
+        }
+    }
+
+    /// A non-finite float renders as `null`: the config either fails to
+    /// decode (a plain `f64` field) or decodes to a different value (an
+    /// `Option<f64>`), and in both cases its fingerprint matches nothing a
+    /// worker can decode.
+    #[test]
+    fn non_finite_configs_cannot_match_a_decoded_fingerprint() {
+        let mut plain = ExperimentConfig::quick(3);
+        plain.proximity_ms = f64::NAN;
         assert_eq!(
-            serde_json::to_string(&cfg).unwrap(),
-            serde_json::to_string(&back).unwrap()
+            decode_exact::<ExperimentConfig>(&encode_vec(&plain)).unwrap_err(),
+            WireError::Invalid("malformed config")
         );
-        assert_eq!(config_fingerprint(&cfg), config_fingerprint(&back));
+
+        let mut optional = ExperimentConfig::quick(3);
+        let mut scenario = bobw_scenario::Scenario::site_failure(2.0, 0);
+        scenario.measure_from_s = Some(f64::INFINITY);
+        optional.scenario = Some(scenario);
+        let back: ExperimentConfig = decode_exact(&encode_vec(&optional)).unwrap();
+        assert_eq!(back.scenario.unwrap().measure_from_s, None);
+        let mut decoded = optional.clone();
+        decoded.scenario.as_mut().unwrap().measure_from_s = None;
+        assert_ne!(config_fingerprint(&optional), config_fingerprint(&decoded));
+        assert_eq!(
+            serde_json::to_string(&optional).unwrap(),
+            serde_json::to_string(&decoded).unwrap()
+        );
     }
 
     #[test]
@@ -910,9 +614,10 @@ mod tests {
         assert_ne!(build_fingerprint(), 0);
     }
 
-    /// A scenario that crossed the wire must compile to a byte-identical
-    /// event list on the worker — including the RNG-jittered flap cycles,
-    /// which is what coordinator/worker byte-identity of results rests on.
+    /// A scenario that crossed the wire inside its config must compile to
+    /// a byte-identical event list on the worker — including the
+    /// RNG-jittered flap cycles, which is what coordinator/worker
+    /// byte-identity of results rests on.
     #[test]
     fn scenario_compiles_identically_after_wire_round_trip() {
         use bobw_core::Testbed;
@@ -932,14 +637,16 @@ mod tests {
                 },
             },
         );
-        let bytes = encode_vec(&scenario);
-        let back: Scenario = decode_exact(&bytes).unwrap();
-        assert_eq!(back, scenario);
+        let mut cfg = ExperimentConfig::quick(7);
+        cfg.scenario = Some(scenario.clone());
+        let back: ExperimentConfig = decode_exact(&encode_vec(&cfg)).unwrap();
+        let remote_scenario = back.scenario.expect("scenario survives the wire");
+        assert_eq!(remote_scenario, scenario);
 
         let tb = Testbed::new(ExperimentConfig::quick(7));
         let site = tb.site("bos");
         let local = compile(&scenario, &tb.topo, &tb.cdn, &tb.rng, site, true).unwrap();
-        let remote = compile(&back, &tb.topo, &tb.cdn, &tb.rng, site, true).unwrap();
+        let remote = compile(&remote_scenario, &tb.topo, &tb.cdn, &tb.rng, site, true).unwrap();
         assert_eq!(local, remote);
         assert_eq!(
             serde_json::to_string(&local).unwrap(),
@@ -947,12 +654,41 @@ mod tests {
         );
     }
 
-    /// Malformed scenario JSON is rejected at decode time, before a
-    /// worker could try to build a testbed from it.
+    /// The canonical JSON of `cfg` with its first `from` replaced by `to`,
+    /// framed the way a config travels.
+    fn tampered_config(cfg: &ExperimentConfig, from: &str, to: &str) -> Vec<u8> {
+        let json = serde_json::to_string(cfg).unwrap();
+        assert!(json.contains(from), "{from} not in {json}");
+        encode_vec(&json.replacen(from, to, 1))
+    }
+
+    /// A malformed scenario inside a config is rejected at decode time,
+    /// before a worker could try to build a testbed from it.
     #[test]
     fn malformed_scenario_is_rejected_at_decode() {
-        let bytes = encode_vec(&"{\"name\": \"x\"}".to_string());
-        let err = decode_exact::<bobw_scenario::Scenario>(&bytes).unwrap_err();
-        assert!(matches!(err, WireError::Invalid("malformed scenario")));
+        let bytes = tampered_config(
+            &ExperimentConfig::quick(7),
+            r#""scenario":null"#,
+            r#""scenario":{"name":"x"}"#,
+        );
+        let err = decode_exact::<ExperimentConfig>(&bytes).unwrap_err();
+        assert_eq!(err, WireError::Invalid("malformed config"));
+    }
+
+    /// `Prefix`'s invariant holds on the JSON path too: a length past 32
+    /// inside a batch frame is a typed error, not a later shift overflow.
+    #[test]
+    fn out_of_range_prefix_in_a_batch_frame_is_invalid() {
+        let cfg = ExperimentConfig::quick(7);
+        let covering = serde_json::to_string(&cfg.plan.covering).unwrap();
+        let config = tampered_config(&cfg, &covering, r#"{"bits":0,"len":40}"#);
+        let mut frame = encode_vec(&0u32); // ToWorker::Batch
+        1u64.encode(&mut frame);
+        config_fingerprint(&cfg).encode(&mut frame);
+        frame.extend_from_slice(&config);
+        assert_eq!(
+            decode_exact::<ToWorker>(&frame).unwrap_err(),
+            WireError::Invalid("malformed config")
+        );
     }
 }

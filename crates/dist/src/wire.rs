@@ -1,21 +1,24 @@
 //! The wire codec: a compact, deterministic binary encoding plus a
 //! length-prefixed frame layer.
 //!
-//! The workspace can decode typed JSON (`serde_json::from_str_typed`), but
-//! cell results cross the wire in this bincode-style codec for two
-//! properties the JSON rendering does not have: `f64` keeps its exact bit
-//! pattern (the JSON renderer writes non-finite floats as `null`, and
-//! distributed results must be byte-identical to local ones), and every
-//! length is bounded before anything is allocated for it. Encoding rules:
+//! Binary is for three things: the framing, the protocol messages, and the
+//! cell results. Results need two properties JSON does not have: `f64`
+//! keeps its exact bit pattern (the JSON renderer writes non-finite floats
+//! as `null`, and distributed results must be byte-identical to local
+//! ones), and every length is bounded before anything is allocated for it.
+//! Experiment configs are the exception: they travel as one length-prefixed
+//! string holding their canonical JSON (see `proto`), so a new config knob
+//! needs no encoder here. Encoding rules:
 //!
 //! - fixed-width integers are little-endian;
 //! - `usize` travels as `u64` (checked on decode);
 //! - `f64` travels as its IEEE-754 bit pattern (`to_bits`), so values
 //!   round-trip *exactly* — a requirement for byte-identical results;
 //! - `String`/`Vec` are a `u64` length followed by the elements;
-//! - `Option` is a presence byte followed by the value;
+//! - `Option` is a presence byte followed by the value; `Box` is its value;
 //! - structs are their fields in declaration order (see [`wire_struct!`]);
-//! - enums are a `u32` discriminant followed by the variant's fields.
+//! - enums are a `u32` discriminant, the variant's declaration index,
+//!   followed by the variant's fields (see [`wire_enum!`]).
 //!
 //! Frames are `u32` little-endian payload length + payload, capped at
 //! [`MAX_FRAME`] so a corrupt or hostile peer cannot make the receiver
@@ -216,6 +219,16 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+impl<T: Wire> Wire for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        T::decode(buf).map(Box::new)
+    }
+}
+
 impl<A: Wire, B: Wire> Wire for (A, B) {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -236,7 +249,7 @@ macro_rules! wire_struct {
     ($ty:path { $($field:ident),+ $(,)? }) => {
         impl $crate::wire::Wire for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
-                $(self.$field.encode(out);)+
+                $($crate::wire::Wire::encode(&self.$field, out);)+
             }
 
             fn decode(buf: &mut &[u8]) -> Result<Self, $crate::wire::WireError> {
@@ -245,6 +258,68 @@ macro_rules! wire_struct {
                 })
             }
         }
+    };
+}
+
+/// Implements [`Wire`] for an enum: a `u32` discriminant, the variant's
+/// declaration index, then the variant's fields in order. An unknown
+/// discriminant decodes to [`WireError::BadDiscriminant`]. List every
+/// variant in declaration order and name tuple fields as bindings:
+///
+/// ```
+/// use bobw_dist::wire::{decode_exact, encode_vec};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Msg {
+///     Ping,
+///     Data(Vec<u8>),
+///     Move { from: u32, to: u32 },
+/// }
+/// bobw_dist::wire_enum!(Msg { Ping, Data(bytes), Move { from, to } });
+///
+/// assert_eq!(encode_vec(&Msg::Ping), [0, 0, 0, 0]);
+/// assert_eq!(encode_vec(&Msg::Data(vec![9])), [1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9]);
+/// let bytes = encode_vec(&Msg::Move { from: 1, to: 2 });
+/// assert_eq!(bytes, [2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0]);
+/// assert_eq!(decode_exact::<Msg>(&bytes).unwrap(), Msg::Move { from: 1, to: 2 });
+/// assert_eq!(
+///     decode_exact::<Msg>(&[3, 0, 0, 0]).unwrap_err(),
+///     bobw_dist::WireError::BadDiscriminant(3)
+/// );
+/// ```
+///
+/// The discriminants come from a mirror enum of the listed variants, so
+/// one list drives both directions and they cannot disagree.
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:path {
+        $($variant:ident $(( $($tuple:ident),+ ))? $({ $($field:ident),+ $(,)? })?),+ $(,)?
+    }) => {
+        const _: () = {
+            enum Discriminant { $($variant),+ }
+
+            impl $crate::wire::Wire for $ty {
+                fn encode(&self, out: &mut Vec<u8>) {
+                    match self {
+                        $(Self::$variant $(($($tuple),+))? $({ $($field),+ })? => {
+                            $crate::wire::Wire::encode(&(Discriminant::$variant as u32), out);
+                            $($($crate::wire::Wire::encode($tuple, out);)+)?
+                            $($($crate::wire::Wire::encode($field, out);)+)?
+                        })+
+                    }
+                }
+
+                fn decode(buf: &mut &[u8]) -> Result<Self, $crate::wire::WireError> {
+                    let d = <u32 as $crate::wire::Wire>::decode(buf)?;
+                    $(if d == Discriminant::$variant as u32 {
+                        $($(let $tuple = $crate::wire::Wire::decode(buf)?;)+)?
+                        $($(let $field = $crate::wire::Wire::decode(buf)?;)+)?
+                        return Ok(Self::$variant $(($($tuple),+))? $({ $($field),+ })?);
+                    })+
+                    Err($crate::wire::WireError::BadDiscriminant(d))
+                }
+            }
+        };
     };
 }
 

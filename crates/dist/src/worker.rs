@@ -221,7 +221,8 @@ pub fn serve_connection(
                     let local_print = config_fingerprint(&config);
                     if local_print != config_print {
                         // The config decoded differently than the coordinator
-                        // encoded it — a codec bug; refuse loudly rather than
+                        // encoded it — a codec bug, or a non-finite float its
+                        // JSON could not carry; refuse loudly rather than
                         // compute wrong cells.
                         return Err(format!(
                             "batch {batch_id}: config fingerprint mismatch \

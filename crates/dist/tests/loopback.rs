@@ -10,7 +10,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bobw_core::{ExperimentConfig, Testbed};
-use bobw_dist::{build_fingerprint, AuthSecret, Wire};
+use bobw_dist::wire::{recv, send};
+use bobw_dist::{build_fingerprint, config_fingerprint, AuthSecret, Wire};
 use bobw_dist::{
     execute_cell, run_worker, CellOutput, CellSpec, Challenge, ClientHello, Coordinator,
     CoordinatorConfig, Endpoint, FromWorker, Greeting, Hello, HelloReply, ToWorker, WorkerConfig,
@@ -175,6 +176,17 @@ fn handshake_rejects_mismatched_workers() {
         }
         HelloReply::Welcome => panic!("mismatched protocol must be rejected"),
     }
+    // A worker one version behind (v6 sent configs as binary) is told why.
+    let previous = PROTOCOL_VERSION - 1;
+    match handshake(&serve_at, previous, build_fingerprint(), no_tag) {
+        HelloReply::Rejected { reason } => assert_eq!(
+            reason,
+            format!(
+                "protocol version mismatch (coordinator {PROTOCOL_VERSION}, worker {previous})"
+            )
+        ),
+        HelloReply::Welcome => panic!("a previous-version worker must be rejected"),
+    }
     // A well-formed worker is still welcome afterwards.
     match handshake(&serve_at, PROTOCOL_VERSION, build_fingerprint(), no_tag) {
         HelloReply::Welcome => {}
@@ -241,23 +253,15 @@ fn handshake_rejects_unauthenticated_workers() {
     coordinator.shutdown();
 }
 
-/// A client greeting on a plain batch coordinator is turned away with a
-/// pointer at `bobw serve`, and a garbage first frame (not a greeting at
-/// all) just drops the connection.
-#[test]
-fn handshake_rejects_clients_and_garbage() {
-    let ep = Endpoint::parse("tcp://127.0.0.1:0").unwrap();
-    let coordinator = Coordinator::bind(&ep, open_config()).unwrap();
-    let serve_at = coordinator.endpoint().expect("bound").clone();
-
-    // Client greeting.
-    let mut conn = serve_at.connect().unwrap();
+/// Sends a client greeting at `protocol` and returns the rejection reason.
+fn client_handshake(ep: &Endpoint, protocol: u32) -> String {
+    let mut conn = ep.connect().unwrap();
     let _: Challenge = bobw_dist::wire::recv(&mut conn)
         .unwrap()
         .expect("challenge");
     let mut payload = Vec::new();
     Greeting::Client(ClientHello {
-        protocol: PROTOCOL_VERSION,
+        protocol,
         client_name: "curious".to_string(),
         auth: Vec::new(),
     })
@@ -267,11 +271,28 @@ fn handshake_rejects_clients_and_garbage() {
         .unwrap()
         .expect("reply")
     {
-        HelloReply::Rejected { reason } => {
-            assert!(reason.contains("bobw serve"), "unexpected reason: {reason}")
-        }
+        HelloReply::Rejected { reason } => reason,
         HelloReply::Welcome => panic!("client greeting must be rejected by a batch coordinator"),
     }
+}
+
+/// A client greeting on a plain batch coordinator is turned away with a
+/// pointer at `bobw serve` (or, one version behind, with the version
+/// skew), and a garbage first frame (not a greeting at all) just drops
+/// the connection.
+#[test]
+fn handshake_rejects_clients_and_garbage() {
+    let ep = Endpoint::parse("tcp://127.0.0.1:0").unwrap();
+    let coordinator = Coordinator::bind(&ep, open_config()).unwrap();
+    let serve_at = coordinator.endpoint().expect("bound").clone();
+
+    let reason = client_handshake(&serve_at, PROTOCOL_VERSION);
+    assert!(reason.contains("bobw serve"), "unexpected reason: {reason}");
+    let previous = PROTOCOL_VERSION - 1;
+    assert_eq!(
+        client_handshake(&serve_at, previous),
+        format!("protocol version mismatch (server {PROTOCOL_VERSION}, client {previous})")
+    );
 
     // Garbage greeting: an unknown discriminant. The server must drop the
     // connection without welcoming anything.
@@ -286,6 +307,73 @@ fn handshake_rejects_clients_and_garbage() {
     }
 
     coordinator.shutdown();
+}
+
+/// A coordinator-side config holding a non-finite float renders it as
+/// JSON `null`. A real worker must refuse such a batch and compute
+/// nothing: a plain `f64` field fails to decode, and an `Option<f64>`
+/// decodes to `None`, which the config fingerprint check catches.
+#[test]
+fn worker_refuses_configs_with_non_finite_floats() {
+    let mut plain = test_config();
+    plain.proximity_ms = f64::NAN;
+    let mut optional = test_config();
+    let mut scenario = bobw_scenario::Scenario::site_failure(2.0, 0);
+    scenario.measure_from_s = Some(f64::INFINITY);
+    optional.scenario = Some(scenario);
+
+    for (cfg, why) in [
+        (plain, "malformed config"),
+        (optional, "config fingerprint mismatch"),
+    ] {
+        let listener = Endpoint::parse("tcp://127.0.0.1:0")
+            .unwrap()
+            .bind()
+            .unwrap();
+        let endpoint = listener.local_endpoint().unwrap();
+        let worker = std::thread::spawn(move || {
+            let mut wc = WorkerConfig::new(endpoint);
+            wc.name = "refuser".to_string();
+            wc.secret = None;
+            run_worker(&wc)
+        });
+
+        // Play the coordinator by hand: handshake, one batch, one cell.
+        let mut conn = listener.accept().unwrap();
+        let challenge = Challenge {
+            nonce: vec![7; 16],
+            auth_required: false,
+        };
+        send(&mut conn, &challenge).unwrap();
+        let greeting: Greeting = recv(&mut conn).unwrap().expect("greeting");
+        assert!(matches!(greeting, Greeting::Worker(_)));
+        send(&mut conn, &HelloReply::Welcome).unwrap();
+        let batch = ToWorker::Batch {
+            batch_id: 0,
+            config_print: config_fingerprint(&cfg),
+            config: Box::new(cfg),
+        };
+        send(&mut conn, &batch).unwrap();
+        let assign = ToWorker::Assign {
+            batch_id: 0,
+            cell_index: 0,
+            cell: CellSpec::Failover {
+                technique: "anycast".to_string(),
+                site: "bos".to_string(),
+            },
+        };
+        // The worker may already have hung up.
+        let _ = send(&mut conn, &assign);
+
+        // Checked before the join: a worker that accepted would wait for
+        // more work on this connection forever.
+        match recv::<_, FromWorker>(&mut conn) {
+            Ok(None) | Err(_) => {}
+            Ok(Some(msg)) => panic!("a refused batch must get no reply, got {msg:?}"),
+        }
+        let err = worker.join().unwrap().expect_err("worker must refuse");
+        assert!(err.contains(why), "unexpected error: {err}");
+    }
 }
 
 /// A worker that handshakes correctly, acks the batch, accepts an

@@ -7,7 +7,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
+use serde::{de, DeError, Deserialize, Serialize, Value};
 
 /// An IPv4 address as a 32-bit integer (`a.b.c.d` == `a<<24 | b<<16 | c<<8 | d`).
 pub type Ipv4Net = u32;
@@ -50,13 +50,14 @@ impl std::error::Error for PrefixParseError {}
 /// ```
 ///
 /// Invariant: all bits below the mask are zero (`bits & !mask == 0`).
-/// [`Prefix::new`] enforces this by masking; [`Prefix::from_str`] rejects
-/// violations so that typos in experiment configs surface loudly.
+/// [`Prefix::new`] enforces this by masking; [`Prefix::from_str`] and the
+/// JSON decoder reject violations so that typos in experiment configs
+/// surface loudly.
 ///
 /// Ordering sorts by network address first and then by length, so more
 /// specific prefixes of the same network sort *after* their covering
 /// prefixes — convenient for stable output in reports.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Prefix {
     bits: u32,
     len: u8,
@@ -248,6 +249,23 @@ impl FromStr for Prefix {
     }
 }
 
+/// Reads the `{"bits", "len"}` object the derived `Serialize` writes, with
+/// the checks of [`Prefix::from_str`]: a length past 32 would overflow
+/// [`Prefix::mask`] later, and set host bits break the invariant.
+impl Deserialize for Prefix {
+    fn from_value(v: &Value) -> Result<Prefix, DeError> {
+        let bits: u32 = de::field(v, "bits")?;
+        let len: u8 = de::field(v, "len")?;
+        if len > 32 {
+            return Err(DeError::new(PrefixParseError::BadLength.to_string()));
+        }
+        if bits & !Prefix::mask(len) != 0 {
+            return Err(DeError::new(PrefixParseError::HostBitsSet.to_string()));
+        }
+        Ok(Prefix { bits, len })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,6 +304,29 @@ mod tests {
             Err(PrefixParseError::HostBitsSet)
         );
         assert_eq!("".parse::<Prefix>(), Err(PrefixParseError::Malformed));
+    }
+
+    #[test]
+    fn json_decode_keeps_the_invariant() {
+        let decode = serde_json::from_str_typed::<Prefix>;
+        let q = p("184.164.244.0/23");
+        assert_eq!(decode(&serde_json::to_string(&q).unwrap()).unwrap(), q);
+        assert_eq!(
+            decode(r#"{"bits":0,"len":32}"#).unwrap(),
+            Prefix::new(0, 32)
+        );
+        for bad in [
+            r#"{"bits":0,"len":40}"#,
+            r#"{"bits":0,"len":33}"#,
+            r#"{"bits":1,"len":24}"#,
+            r#"{"bits":0}"#,
+        ] {
+            assert!(decode(bad).is_err(), "{bad} must be rejected");
+        }
+        let err = decode(r#"{"bits":0,"len":40}"#).unwrap_err().to_string();
+        assert!(err.contains("length out of range"), "{err}");
+        let err = decode(r#"{"bits":1,"len":24}"#).unwrap_err().to_string();
+        assert!(err.contains("host bits"), "{err}");
     }
 
     #[test]

@@ -613,6 +613,9 @@ fn persist_results(shared: &Shared, id: u64, outputs: &Vec<CellOutput>) {
 /// Reloads persisted jobs. Done jobs come back with their results and a
 /// fully replayed completion log; jobs caught mid-flight (queued or
 /// running at shutdown) are re-queued; failed jobs keep their error.
+/// Unreadable jobs (e.g. a task persisted before configs were stored as
+/// JSON) are skipped, but new ids still continue past them, so their
+/// files are never overwritten.
 fn load_state(dir: &Path, table: &mut Table) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -627,6 +630,7 @@ fn load_state(dir: &Path, table: &mut Table) {
         else {
             continue;
         };
+        table.next_id = table.next_id.max(id + 1);
         let Ok(meta) = std::fs::read_to_string(entry.path()) else {
             continue;
         };
@@ -638,9 +642,13 @@ fn load_state(dir: &Path, table: &mut Table) {
             eprintln!("[serve] skipping job {id}: no persisted task");
             continue;
         };
-        let Ok(task) = decode_exact::<JobTask>(&task_bytes) else {
-            eprintln!("[serve] skipping job {id}: corrupt persisted task");
-            continue;
+        let task = match decode_exact::<JobTask>(&task_bytes) {
+            Ok(task) => task,
+            Err(e) => {
+                // Also what a task persisted with a binary config looks like.
+                eprintln!("[serve] skipping job {id}: unreadable persisted task ({e})");
+                continue;
+            }
         };
         let state = JobState::parse(&row.state).unwrap_or(JobState::Queued);
         let mut job = Job {
@@ -679,5 +687,4 @@ fn load_state(dir: &Path, table: &mut Table) {
         }
         table.jobs.insert(id, job);
     }
-    table.next_id = table.jobs.keys().next_back().map_or(0, |max| max + 1);
 }

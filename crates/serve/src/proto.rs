@@ -3,14 +3,14 @@
 //! Workers speak the unchanged `bobw_dist` coordinator protocol; this
 //! module adds what a *client* connection exchanges after its
 //! `Greeting::Client` handshake is welcomed: framed [`ClientRequest`] /
-//! [`ClientReply`] messages on the same codec. Every request gets at
-//! least one reply; `Watch` streams a [`ClientReply::Cell`] per completed
-//! cell (in completion order) and terminates with
-//! [`ClientReply::JobDone`].
+//! [`ClientReply`] messages on the same codec, each a `wire_enum!`. Every
+//! request gets at least one reply; `Watch` streams a [`ClientReply::Cell`]
+//! per completed cell (in completion order) and terminates with
+//! [`ClientReply::JobDone`]. `SubmitRaw` carries its config as canonical
+//! JSON, like a coordinator's batch header.
 
 use bobw_core::ExperimentConfig;
-use bobw_dist::wire::{Wire, WireError};
-use bobw_dist::wire_struct;
+use bobw_dist::{wire_enum, wire_struct};
 use bobw_dist::{CellOutput, CellSpec};
 
 /// Lifecycle of a submitted job.
@@ -44,22 +44,6 @@ impl JobState {
             "done" => JobState::Done,
             "failed" => JobState::Failed,
             _ => return None,
-        })
-    }
-}
-
-impl Wire for JobState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (*self as u32).encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u32::decode(buf)? {
-            0 => JobState::Queued,
-            1 => JobState::Running,
-            2 => JobState::Done,
-            3 => JobState::Failed,
-            d => return Err(WireError::BadDiscriminant(d)),
         })
     }
 }
@@ -130,139 +114,51 @@ pub enum ClientReply {
     Bye,
 }
 
-impl Wire for ClientRequest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ClientRequest::Submit { spec_json } => {
-                0u32.encode(out);
-                spec_json.encode(out);
-            }
-            ClientRequest::SubmitRaw {
-                name,
-                config,
-                cells,
-            } => {
-                1u32.encode(out);
-                name.encode(out);
-                config.encode(out);
-                cells.encode(out);
-            }
-            ClientRequest::Jobs => 2u32.encode(out),
-            ClientRequest::Watch { job_id } => {
-                3u32.encode(out);
-                job_id.encode(out);
-            }
-            ClientRequest::Status => 4u32.encode(out),
-            ClientRequest::Matrix => 5u32.encode(out),
-            ClientRequest::Quit => 6u32.encode(out),
-        }
-    }
+wire_enum!(JobState {
+    Queued,
+    Running,
+    Done,
+    Failed
+});
 
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u32::decode(buf)? {
-            0 => ClientRequest::Submit {
-                spec_json: String::decode(buf)?,
-            },
-            1 => ClientRequest::SubmitRaw {
-                name: String::decode(buf)?,
-                config: Box::new(ExperimentConfig::decode(buf)?),
-                cells: Vec::decode(buf)?,
-            },
-            2 => ClientRequest::Jobs,
-            3 => ClientRequest::Watch {
-                job_id: u64::decode(buf)?,
-            },
-            4 => ClientRequest::Status,
-            5 => ClientRequest::Matrix,
-            6 => ClientRequest::Quit,
-            d => return Err(WireError::BadDiscriminant(d)),
-        })
-    }
-}
+wire_enum!(ClientRequest {
+    Submit { spec_json },
+    SubmitRaw {
+        name,
+        config,
+        cells
+    },
+    Jobs,
+    Watch { job_id },
+    Status,
+    Matrix,
+    Quit
+});
 
-impl Wire for ClientReply {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ClientReply::Error { message } => {
-                0u32.encode(out);
-                message.encode(out);
-            }
-            ClientReply::Submitted { job_id } => {
-                1u32.encode(out);
-                job_id.encode(out);
-            }
-            ClientReply::Jobs { rows_json } => {
-                2u32.encode(out);
-                rows_json.encode(out);
-            }
-            ClientReply::Cell {
-                job_id,
-                cell_index,
-                output,
-            } => {
-                3u32.encode(out);
-                job_id.encode(out);
-                cell_index.encode(out);
-                output.encode(out);
-            }
-            ClientReply::JobDone {
-                job_id,
-                state,
-                error,
-            } => {
-                4u32.encode(out);
-                job_id.encode(out);
-                state.encode(out);
-                error.encode(out);
-            }
-            ClientReply::Status { json } => {
-                5u32.encode(out);
-                json.encode(out);
-            }
-            ClientReply::Matrix { json } => {
-                6u32.encode(out);
-                json.encode(out);
-            }
-            ClientReply::Bye => 7u32.encode(out),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u32::decode(buf)? {
-            0 => ClientReply::Error {
-                message: String::decode(buf)?,
-            },
-            1 => ClientReply::Submitted {
-                job_id: u64::decode(buf)?,
-            },
-            2 => ClientReply::Jobs {
-                rows_json: String::decode(buf)?,
-            },
-            3 => ClientReply::Cell {
-                job_id: u64::decode(buf)?,
-                cell_index: u64::decode(buf)?,
-                output: Box::new(CellOutput::decode(buf)?),
-            },
-            4 => ClientReply::JobDone {
-                job_id: u64::decode(buf)?,
-                state: JobState::decode(buf)?,
-                error: Option::decode(buf)?,
-            },
-            5 => ClientReply::Status {
-                json: String::decode(buf)?,
-            },
-            6 => ClientReply::Matrix {
-                json: String::decode(buf)?,
-            },
-            7 => ClientReply::Bye,
-            d => return Err(WireError::BadDiscriminant(d)),
-        })
-    }
-}
+wire_enum!(ClientReply {
+    Error { message },
+    Submitted { job_id },
+    Jobs { rows_json },
+    Cell {
+        job_id,
+        cell_index,
+        output
+    },
+    JobDone {
+        job_id,
+        state,
+        error
+    },
+    Status { json },
+    Matrix { json },
+    Bye
+});
 
 /// The replayable essence of a job, persisted to `--state-dir` as wire
 /// bytes (`job-<id>.task.bin`) so a restarted daemon re-runs exactly the
-/// batch that was submitted — same config, same cell order.
+/// batch that was submitted — same config, same cell order. The config
+/// part is its canonical JSON, as on the wire; a task written before
+/// configs crossed as JSON fails to decode and is skipped on reload.
 #[derive(Debug, Clone)]
 pub struct JobTask {
     pub config: ExperimentConfig,

@@ -309,7 +309,8 @@ fn stuck_worker_cells_are_rescued_across_queued_jobs() {
 }
 
 /// A restarted daemon replays done jobs (results, watch stream, matrix)
-/// from its state dir and re-queues jobs that never ran.
+/// from its state dir, re-queues jobs that never ran, and skips a job it
+/// cannot read without losing the others.
 #[test]
 fn state_dir_survives_daemon_restart() {
     let _guard = serial();
@@ -336,6 +337,19 @@ fn state_dir_survives_daemon_restart() {
     client.quit().expect("quit 1");
     handle.join();
     worker.join().unwrap();
+
+    // A job persisted by a daemon that still wrote configs as binary
+    // (protocol v6): its task opens with `GenConfig` counts, not with a
+    // JSON string. Reload must skip it and keep its files.
+    let stale_id = job_id + 1;
+    let meta = std::fs::read_to_string(state_dir.join(format!("job-{job_id}.json"))).unwrap();
+    std::fs::write(state_dir.join(format!("job-{stale_id}.json")), meta).unwrap();
+    let v6_task: Vec<u8> = [6u64, 30, 12, 80, 120]
+        .iter()
+        .flat_map(|n| n.to_le_bytes())
+        .collect();
+    let stale_task = state_dir.join(format!("job-{stale_id}.task.bin"));
+    std::fs::write(&stale_task, &v6_task).unwrap();
 
     // Second life: no workers at all — the done job must be fully
     // servable from disk, and a new submission must queue behind it.
@@ -368,8 +382,8 @@ fn state_dir_survives_daemon_restart() {
     let queued_id = client.submit_raw("later", &cfg, &cells).expect("submit 2");
     assert_eq!(
         queued_id,
-        job_id + 1,
-        "ids must continue past reloaded jobs"
+        stale_id + 1,
+        "ids must continue past every persisted job, skipped ones included"
     );
     let behind_id = client.submit_raw("behind", &cfg, &cells).expect("submit 3");
     client.quit().expect("quit 2");
@@ -413,8 +427,10 @@ fn state_dir_survives_daemon_restart() {
     let behind = rows.iter().find(|r| r.id == behind_id).expect("behind job");
     assert_eq!(behind.state, "queued");
     assert_eq!(behind.cells_done, 0);
+    assert!(rows.iter().all(|r| r.id != stale_id));
     client.quit().expect("quit 3");
     handle.join();
+    assert_eq!(std::fs::read(&stale_task).unwrap(), v6_task);
 
     let _ = std::fs::remove_dir_all(&state_dir);
 }
