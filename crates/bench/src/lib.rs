@@ -465,8 +465,8 @@ mod tests {
         cfg.probe.duration = bobw_event::SimDuration::from_secs(60);
         let tb = Testbed::new(cfg);
         let t = Technique::Anycast;
-        let r1 = run_failover(&tb, &t, tb.site("ams"));
-        let r2 = run_failover(&tb, &t, tb.site("bos"));
+        let (r1, _) = run_failover(&tb, &t, tb.site("ams")).expect("cell runs");
+        let (r2, _) = run_failover(&tb, &t, tb.site("bos")).expect("cell runs");
         let n1 = r1.num_controllable;
         let s = TechniqueSeries::from_results(&t, &[r1, r2]);
         assert_eq!(s.technique, "anycast");
@@ -484,7 +484,7 @@ mod tests {
         let t = Technique::ReactiveAnycast;
         let par = run_technique_all_sites(&tb, &t, 4);
         let site0 = tb.cdn.sites().next().unwrap();
-        let seq = run_failover(&tb, &t, site0);
+        let (seq, _) = run_failover(&tb, &t, site0).expect("cell runs");
         assert_eq!(par[0].num_controllable, seq.num_controllable);
         assert_eq!(par[0].outcomes, seq.outcomes);
         assert_eq!(par.len(), tb.cdn.num_sites());

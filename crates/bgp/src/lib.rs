@@ -35,6 +35,7 @@ pub mod node;
 pub mod policy;
 pub mod rib;
 pub mod route;
+mod sessions;
 pub mod sim;
 pub mod timing;
 
@@ -44,7 +45,8 @@ pub use node::BgpNode;
 pub use policy::{import_local_pref, may_export, OriginConfig};
 pub use rib::{cmp_selected, select_from, FlatRib, MapRib, RibKernel};
 pub use route::{
-    BgpEvent, Message, NextHop, RouteAttrs, RouteChange, Selected, SessionTimerKind, WireRoute,
+    BgpEvent, Emitted, Message, NextHop, RouteAttrs, RouteChange, Selected, SessionTimerKind,
+    WireRoute,
 };
-pub use sim::{BgpSim, SessionKnobs, SimSeed, Standalone};
+pub use sim::{BgpSim, SimSeed, Standalone};
 pub use timing::BgpTimingConfig;

@@ -29,7 +29,7 @@ use rand::rngs::SmallRng;
 use crate::damping::DampState;
 use crate::policy::{import_local_pref, may_export, OriginConfig};
 use crate::rib::{cmp_selected, FlatRib, TieKey, SELF_TIE_KEY};
-use crate::route::{BgpEvent, Message, NextHop, RouteAttrs, Selected, WireRoute};
+use crate::route::{BgpEvent, Emitted, Message, NextHop, RouteAttrs, Selected, WireRoute};
 use crate::timing::BgpTimingConfig;
 
 /// Per-⟨neighbor, prefix⟩ send state, indexed by the node's dense prefix id.
@@ -65,6 +65,8 @@ pub struct NeighborState {
     /// injection; routes from a down neighbor are purged when the hold
     /// timer expires.
     up: bool,
+    /// Bumped on every up→down of `up` (see [`BgpNode::hold_gen`]).
+    down_gen: u32,
     /// Does the data plane still forward over this adjacency? The abstract
     /// model keeps this locked to `up` (a dead session is a dead link).
     /// The message-level model splits them: graceful restart and half-open
@@ -148,6 +150,7 @@ impl BgpNode {
             delay,
             session_mrai,
             up: true,
+            down_gen: 0,
             fwd_up: true,
             send: Vec::new(),
         }
@@ -229,7 +232,7 @@ impl BgpNode {
         cfg: OriginConfig,
         timing: &BgpTimingConfig,
         rng: &mut SmallRng,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) -> bool {
         self.originated.insert(prefix, cfg);
         let pidx = self.rib.intern(prefix);
@@ -251,7 +254,7 @@ impl BgpNode {
         prefix: Prefix,
         timing: &BgpTimingConfig,
         rng: &mut SmallRng,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) -> bool {
         if self.originated.remove(&prefix).is_none() {
             return false;
@@ -280,8 +283,21 @@ impl BgpNode {
                 nbr.fwd_up = false;
                 self.fwd_version += 1;
             }
+        }
+        self.fail_session_control(neighbor)
+    }
+
+    /// Control-plane-only teardown: the BGP session drops but packets keep
+    /// forwarding over the adjacency. Used for graceful restart (forwarding
+    /// preserved by design) and half-open sessions (the wire is fine, the
+    /// session state is not). Same return contract as
+    /// [`BgpNode::fail_session`].
+    pub fn fail_session_control(&mut self, neighbor: NodeId) -> bool {
+        if let Some(idx) = self.nbr_pos(neighbor) {
+            let nbr = &mut self.neighbors[idx];
             if nbr.up {
                 nbr.up = false;
+                nbr.down_gen += 1;
                 for s in &mut nbr.send {
                     s.pending = None;
                 }
@@ -291,23 +307,13 @@ impl BgpNode {
         false
     }
 
-    /// Control-plane-only teardown (message-level model): the BGP session
-    /// drops but packets keep forwarding over the adjacency. Used for
-    /// graceful restart (forwarding preserved by design) and half-open
-    /// sessions (the wire is fine, the session state is not). Same return
-    /// contract as [`BgpNode::fail_session`].
-    pub fn fail_session_control(&mut self, neighbor: NodeId) -> bool {
-        if let Some(idx) = self.nbr_pos(neighbor) {
-            let nbr = &mut self.neighbors[idx];
-            if nbr.up {
-                nbr.up = false;
-                for s in &mut nbr.send {
-                    s.pending = None;
-                }
-                return true;
-            }
-        }
-        false
+    /// Generation of the session to `neighbor`'s latest up→down transition
+    /// (0 if it never went down). An abstract hold timer carries the value
+    /// from when it was armed; a later outage makes it stale, so only the
+    /// latest outage's timer purges.
+    pub(crate) fn hold_gen(&self, neighbor: NodeId) -> u32 {
+        self.nbr_pos(neighbor)
+            .map_or(0, |i| self.neighbors[i].down_gen)
     }
 
     /// Does the data plane forward over the adjacency to `neighbor`?
@@ -351,7 +357,7 @@ impl BgpNode {
         stale: &[Prefix],
         timing: &BgpTimingConfig,
         rng: &mut SmallRng,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) -> Vec<Prefix> {
         let Some(idx) = self.nbr_pos(neighbor) else {
             return Vec::new();
@@ -383,7 +389,7 @@ impl BgpNode {
         neighbor: NodeId,
         timing: &BgpTimingConfig,
         rng: &mut SmallRng,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) -> Vec<Prefix> {
         let idx = match self.nbr_pos(neighbor) {
             Some(idx) if !self.neighbors[idx].up => idx,
@@ -425,7 +431,7 @@ impl BgpNode {
         neighbor: NodeId,
         timing: &BgpTimingConfig,
         rng: &mut SmallRng,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) {
         let Some(idx) = self.nbr_pos(neighbor) else {
             return;
@@ -465,7 +471,7 @@ impl BgpNode {
         msg: Message,
         timing: &BgpTimingConfig,
         rng: &mut SmallRng,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) -> bool {
         let prefix = msg.prefix();
         // A message arriving over a failed link is lost.
@@ -551,7 +557,7 @@ impl BgpNode {
         prefix: Prefix,
         timing: &BgpTimingConfig,
         rng: &mut SmallRng,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) -> bool {
         let Some(dcfg) = &timing.flap_damping else {
             return false;
@@ -584,7 +590,7 @@ impl BgpNode {
         prefix: Prefix,
         gen: u64,
         timing: &BgpTimingConfig,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) {
         let Some(idx) = self.nbr_pos(neighbor) else {
             return;
@@ -641,7 +647,7 @@ impl BgpNode {
         pidx: usize,
         timing: &BgpTimingConfig,
         rng: &mut SmallRng,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) -> bool {
         let new_best = self.compute_best(now, prefix, pidx, timing);
         if new_best.as_ref() == self.rib.best_at(pidx) {
@@ -661,7 +667,7 @@ impl BgpNode {
         new_best: Option<Selected>,
         timing: &BgpTimingConfig,
         rng: &mut SmallRng,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) {
         let fib_changed = match &new_best {
             Some(sel) => {
@@ -707,7 +713,7 @@ impl BgpNode {
         attrs: RouteAttrs,
         timing: &BgpTimingConfig,
         rng: &mut SmallRng,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) -> Option<bool> {
         let peer = self.neighbors[idx].peer;
         let key: TieKey = (1, self.neighbors[idx].peer_asn, peer);
@@ -747,7 +753,7 @@ impl BgpNode {
         pidx: usize,
         timing: &BgpTimingConfig,
         rng: &mut SmallRng,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) {
         // (supplier, supplier relation, wire form) for a learned best route
         // that is exportable at all; `None` falls back to the per-neighbor
@@ -851,7 +857,7 @@ impl BgpNode {
         desired: Option<WireRoute>,
         timing: &BgpTimingConfig,
         rng: &mut SmallRng,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) {
         let node_id = self.id;
         self.gen_counter += 1;

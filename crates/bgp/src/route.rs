@@ -1,6 +1,6 @@
 //! Route attributes, wire messages, and simulator events.
 
-use bobw_event::SimTime;
+use bobw_event::{SimDuration, SimTime};
 use bobw_net::{AsPath, NodeId, Prefix};
 use bobw_session::SessionPayload;
 use serde::{Deserialize, Serialize};
@@ -144,8 +144,14 @@ pub enum BgpEvent {
     /// `node`'s BGP hold timer for the session to `neighbor` expires: the
     /// session is torn down and every route learned from the neighbor is
     /// purged (triggering withdrawals/exploration). Scheduled when a link
-    /// fails silently; a no-op if the session came back up in the meantime.
-    HoldExpire { node: NodeId, neighbor: NodeId },
+    /// fails silently; a no-op if the session came back up in the meantime,
+    /// or if `gen` is stale: the session went down again since, and that
+    /// later outage armed its own timer.
+    HoldExpire {
+        node: NodeId,
+        neighbor: NodeId,
+        gen: u32,
+    },
     /// Message-level model only: a session-management message
     /// (OPEN/KEEPALIVE/NOTIFICATION) arrives at `to` from `from`. Route
     /// UPDATEs keep travelling as [`BgpEvent::Deliver`]; both kinds pass
@@ -166,6 +172,9 @@ pub enum BgpEvent {
         gen: u32,
     },
 }
+
+/// Follow-up events a simulator step emits, each with its delay from now.
+pub type Emitted = Vec<(SimDuration, BgpEvent)>;
 
 /// Which timer a [`BgpEvent::SessionTimer`] represents: the three RFC 4271
 /// session timers plus the graceful-restart stale sweep (an integration-
@@ -238,6 +247,13 @@ mod tests {
         assert_eq!(wire.med, attrs.med);
         assert_eq!(wire.origin, attrs.origin);
         assert!(wire.no_export);
+    }
+
+    #[test]
+    fn event_size_is_pinned() {
+        // Every queued event pays this size; the hold-timer generation fits
+        // in the padding of the largest variant.
+        assert_eq!(std::mem::size_of::<BgpEvent>(), 40);
     }
 
     #[test]

@@ -3,20 +3,15 @@
 //! pure-control-plane experiments.
 
 use bobw_event::{Engine, Handler, RngFactory, Scheduler, SimDuration, SimTime, StepOutcome};
-use bobw_net::{AsPath, NodeId, Prefix};
-use bobw_session::{
-    codec, BgpMessage, DownReason, FsmInput, FsmOutput, PeerFsm, PeerState, SessionConfig,
-    SessionPayload, TimerKind, UpdateAttrs, UpdateMsg, CEASE,
-};
+use bobw_net::{NodeId, Prefix};
+use bobw_session::CEASE;
 use bobw_topology::Topology;
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 use crate::node::BgpNode;
 use crate::policy::OriginConfig;
-use crate::route::{
-    BgpEvent, Message, NextHop, RouteChange, Selected, SessionTimerKind, WireRoute,
-};
+use crate::route::{BgpEvent, Emitted, NextHop, RouteChange, Selected};
+use crate::sessions::FsmSessions;
 use crate::timing::BgpTimingConfig;
 
 /// Aggregate counters, exposed for the engine benchmarks and for sanity
@@ -39,139 +34,110 @@ pub struct SimStats {
 /// buffer. `bobw-core` embeds it in a composite simulation next to the data
 /// plane and DNS; [`Standalone`] wraps it for control-plane-only runs.
 pub struct BgpSim {
-    timing: BgpTimingConfig,
-    nodes: Vec<BgpNode>,
-    proc_rngs: Vec<SmallRng>,
-    history: Vec<RouteChange>,
-    record_history: bool,
-    stats: SimStats,
+    net: Routing,
     /// Message-level session layer (per-peer FSMs + wire codec on every
     /// message). `None` = the abstract model: adjacencies are booleans and
     /// session management is implicit. Strictly opt-in via
     /// [`BgpSim::enable_message_level`]; when `None`, no code path below
     /// touches it, keeping abstract runs byte-identical to before.
-    session: Option<SessionLayer>,
+    fsm: Option<FsmSessions>,
 }
 
-/// Knobs for the message-level session layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SessionKnobs {
-    /// Base connect-retry interval; each scheduled retry is jittered
-    /// uniformly in `[0.5, 1.5) ×` this from the node's processing-delay
-    /// RNG stream (deterministic given the seed).
-    pub connect_retry_s: f64,
-    /// Graceful-restart window advertised in every OPEN; 0 disables the
-    /// capability network-wide.
-    pub gr_restart_s: u16,
+/// The routing half of [`BgpSim`]: per-node BGP state plus the bookkeeping
+/// both session models share. [`FsmSessions`] borrows it by `&mut` beside
+/// itself, so neither half moves out of the simulator to call the other.
+pub(crate) struct Routing {
+    pub(crate) timing: BgpTimingConfig,
+    pub(crate) nodes: Vec<BgpNode>,
+    pub(crate) proc_rngs: Vec<SmallRng>,
+    history: Vec<RouteChange>,
+    record_history: bool,
+    pub(crate) stats: SimStats,
 }
 
-impl Default for SessionKnobs {
-    fn default() -> SessionKnobs {
-        SessionKnobs {
-            connect_retry_s: 1.0,
-            gr_restart_s: 120,
+impl Routing {
+    /// `node`'s state, the timing config and `node`'s processing-delay RNG:
+    /// the triple every node operation takes, borrowed together.
+    pub(crate) fn node_mut(
+        &mut self,
+        node: NodeId,
+    ) -> (&mut BgpNode, &BgpTimingConfig, &mut SmallRng) {
+        let idx = node.index();
+        (&mut self.nodes[idx], &self.timing, &mut self.proc_rngs[idx])
+    }
+
+    /// Counts and records best-route changes at `node`.
+    pub(crate) fn best_changed(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        prefixes: impl IntoIterator<Item = Prefix>,
+    ) {
+        for prefix in prefixes {
+            self.stats.best_changes += 1;
+            self.record_change(now, node, prefix);
         }
     }
-}
 
-/// Per-directed-session state in the message-level model, parallel to the
-/// owning node's neighbor list.
-struct PeerSession {
-    fsm: PeerFsm,
-    /// Per-timer-kind generation counters; an armed timer event carries the
-    /// generation at arming time and is a no-op if it was bumped since.
-    gens: [u32; 4],
-    /// Administrative link state for this direction (fault injection).
-    admin_up: bool,
-    /// This endpoint's TCP is unreachable (process restarting). Connect
-    /// attempts against — or from — a blocked endpoint fail.
-    blocked: bool,
-    /// Graceful restart: prefixes retained from the restarting peer,
-    /// sorted; pruned as re-advertisements arrive, leftovers purged by the
-    /// stale sweep.
-    stale: Vec<Prefix>,
-}
-
-struct SessionLayer {
-    knobs: SessionKnobs,
-    /// `sessions[node][nix]` for the session from `node` to its `nix`-th
-    /// neighbor.
-    sessions: Vec<Vec<PeerSession>>,
-}
-
-fn kind_ix(kind: SessionTimerKind) -> usize {
-    match kind {
-        SessionTimerKind::ConnectRetry => 0,
-        SessionTimerKind::Hold => 1,
-        SessionTimerKind::Keepalive => 2,
-        SessionTimerKind::StaleSweep => 3,
-    }
-}
-
-impl SessionLayer {
-    /// Bumps and returns the generation for `(node, nix, kind)` — the next
-    /// scheduled timer of that kind is the only live one.
-    fn arm(&mut self, node: usize, nix: usize, kind: SessionTimerKind) -> u32 {
-        let gen = &mut self.sessions[node][nix].gens[kind_ix(kind)];
-        *gen += 1;
-        *gen
-    }
-
-    /// Invalidates any armed timer of `kind` without scheduling a new one.
-    fn cancel(&mut self, node: usize, nix: usize, kind: SessionTimerKind) {
-        self.sessions[node][nix].gens[kind_ix(kind)] += 1;
-    }
-
-    fn cancel_all(&mut self, node: usize, nix: usize) {
-        for g in &mut self.sessions[node][nix].gens {
-            *g += 1;
+    fn record_change(&mut self, now: SimTime, node: NodeId, prefix: Prefix) {
+        if !self.record_history {
+            return;
         }
+        self.history.push(RouteChange {
+            time: now,
+            node,
+            prefix,
+            new: self.nodes[node.index()].best(&prefix).cloned(),
+        });
     }
-}
 
-/// Message-level model: every route UPDATE and WITHDRAW crosses the wire
-/// as RFC 4271 bytes. Encode, decode, and rebuild — the *decoded* message
-/// is what gets delivered, so a codec asymmetry would surface as a routing
-/// difference instead of passing silently.
-fn roundtrip_update(msg: Message) -> Message {
-    let update = match msg {
-        Message::Update { prefix, route } => UpdateMsg {
-            withdrawn: Vec::new(),
-            attrs: Some(UpdateAttrs {
-                as_path: route.path.hops(),
-                med: route.med,
-                origin_node: route.origin.index() as u32,
-                no_export: route.no_export,
-            }),
-            nlri: vec![prefix],
-        },
-        Message::Withdraw { prefix } => UpdateMsg {
-            withdrawn: vec![prefix],
-            attrs: None,
-            nlri: Vec::new(),
-        },
-    };
-    let bytes = codec::encode(&BgpMessage::Update(update)).expect("route update encodes");
-    let (decoded, len) = codec::decode(&bytes).expect("route update decodes");
-    debug_assert_eq!(len, bytes.len());
-    let BgpMessage::Update(u) = decoded else {
-        unreachable!("UPDATE decodes as UPDATE");
-    };
-    let rebuilt = match (&u.withdrawn[..], &u.nlri[..], u.attrs) {
-        ([], [prefix], Some(a)) => Message::Update {
-            prefix: *prefix,
-            route: WireRoute {
-                path: AsPath::from_hops(a.as_path),
-                med: a.med,
-                origin: NodeId(a.origin_node),
-                no_export: a.no_export,
-            },
-        },
-        ([prefix], [], None) => Message::Withdraw { prefix: *prefix },
-        _ => unreachable!("codec preserved the update shape"),
-    };
-    debug_assert_eq!(rebuilt, msg);
-    rebuilt
+    /// Purge everything learned from `neighbor` at `node` right now (the
+    /// session must already be marked down), with stats/history
+    /// bookkeeping.
+    fn expire_now(&mut self, now: SimTime, node: NodeId, neighbor: NodeId, out: &mut Emitted) {
+        let (n, timing, rng) = self.node_mut(node);
+        let changed = n.expire_session(now, neighbor, timing, rng, out);
+        self.best_changed(now, node, changed);
+    }
+
+    /// Control-plane teardown with purge: the session drops (forwarding
+    /// preserved — physical cuts go through `fail_session` separately) and
+    /// every route learned from the peer is removed.
+    pub(crate) fn teardown_purge(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        peer: NodeId,
+        out: &mut Emitted,
+    ) {
+        self.nodes[node.index()].fail_session_control(peer);
+        self.expire_now(now, node, peer, out);
+    }
+
+    /// Abstract hold timer: `node` purges `neighbor`'s routes one hold time
+    /// from now, unless the session is back up by then or went down again
+    /// (a later outage bumps the generation and arms its own timer).
+    fn arm_hold(&self, node: NodeId, neighbor: NodeId, out: &mut Emitted) {
+        let gen = self.nodes[node.index()].hold_gen(neighbor);
+        let ev = BgpEvent::HoldExpire {
+            node,
+            neighbor,
+            gen,
+        };
+        out.push((self.timing.hold_time(), ev));
+    }
+
+    /// Brings `node`'s session to `peer` up and re-exports its full table.
+    pub(crate) fn restore(&mut self, now: SimTime, node: NodeId, peer: NodeId, out: &mut Emitted) {
+        let (n, timing, rng) = self.node_mut(node);
+        n.restore_session(now, peer, timing, rng, out);
+    }
+
+    /// [`Routing::restore`] in both directions of the `a`–`b` link.
+    pub(crate) fn restore_pair(&mut self, now: SimTime, a: NodeId, b: NodeId, out: &mut Emitted) {
+        self.restore(now, a, b, out);
+        self.restore(now, b, a, out);
+    }
 }
 
 /// Precomputed stochastic per-session state for one `(topology, timing,
@@ -243,80 +209,29 @@ impl BgpSim {
                 .collect();
             nodes.push(BgpNode::new(node.id, node.asn, neighbors));
         }
-        BgpSim {
+        let net = Routing {
             timing,
             nodes,
             proc_rngs: seed.proc.clone(),
             history: Vec::new(),
             record_history: false,
             stats: SimStats::default(),
-            session: None,
-        }
+        };
+        BgpSim { net, fsm: None }
     }
 
-    /// Switches to the message-level session model: one [`PeerFsm`] per
+    /// Switches to the message-level session model — one [`PeerFsm`] per
     /// directed session, wire-codec round-trips on every message, and
     /// session-fault realism (half-open, NOTIFICATION resets, graceful
-    /// restart). Every session starts administratively quiesced; call
-    /// [`BgpSim::start_sessions`] to kick off establishment — and call both
-    /// *before* announcing anything, so the initial table exchange happens
-    /// through real session establishment.
-    pub fn enable_message_level(&mut self, knobs: SessionKnobs) {
-        if self.session.is_some() {
-            return;
+    /// restart) — and starts every session. Call it *before* announcing
+    /// anything, so the initial table exchange happens through real
+    /// session establishment. A second call is a no-op.
+    ///
+    /// [`PeerFsm`]: bobw_session::PeerFsm
+    pub fn enable_message_level(&mut self, now: SimTime, out: &mut Emitted) {
+        if self.fsm.is_none() {
+            self.fsm = Some(FsmSessions::start(&mut self.net, now, out));
         }
-        let hold_time_s = self.timing.hold_time().as_secs_f64().round() as u16;
-        let sessions = self
-            .nodes
-            .iter()
-            .map(|node| {
-                let cfg = SessionConfig {
-                    hold_time_s,
-                    connect_retry_s: knobs.connect_retry_s,
-                    gr_restart_s: knobs.gr_restart_s,
-                    asn: node.asn.0,
-                };
-                node.neighbors()
-                    .iter()
-                    .map(|_| PeerSession {
-                        fsm: PeerFsm::new(cfg),
-                        gens: [0; 4],
-                        admin_up: true,
-                        blocked: false,
-                        stale: Vec::new(),
-                    })
-                    .collect()
-            })
-            .collect();
-        for node in &mut self.nodes {
-            node.quiesce_sessions();
-        }
-        self.session = Some(SessionLayer { knobs, sessions });
-    }
-
-    /// Is the message-level session model active?
-    pub fn message_level(&self) -> bool {
-        self.session.is_some()
-    }
-
-    /// Starts every idle session (both directions of every adjacency), in
-    /// node-then-neighbor order. With the simulator's instant TCP the OPEN
-    /// exchanges interleave deterministically and every session reaches
-    /// Established, triggering the initial full-table exports.
-    pub fn start_sessions(&mut self, now: SimTime, out: &mut Vec<(SimDuration, BgpEvent)>) {
-        let Some(mut layer) = self.session.take() else {
-            return;
-        };
-        for i in 0..self.nodes.len() {
-            let node = self.nodes[i].id;
-            for nix in 0..layer.sessions[i].len() {
-                if layer.sessions[i][nix].fsm.state() == PeerState::Idle {
-                    let peer = self.nodes[i].neighbors()[nix].peer;
-                    self.drive(&mut layer, now, node, peer, FsmInput::Start, out);
-                }
-            }
-        }
-        self.session = Some(layer);
     }
 
     /// `node`'s forwarding version (see [`BgpNode::forwarding_version`]):
@@ -325,52 +240,52 @@ impl BgpSim {
     /// answer really changes, so data-plane consumers can memoize a walk
     /// against the versions of exactly the nodes it read.
     pub fn forwarding_version(&self, node: NodeId) -> u64 {
-        self.nodes[node.index()].forwarding_version()
+        self.net.nodes[node.index()].forwarding_version()
     }
 
     /// Enables/disables the route-change history (collector feed). Off by
     /// default: failover experiments only need current state, and the
     /// history grows with path-exploration churn.
     pub fn set_record_history(&mut self, on: bool) {
-        self.record_history = on;
+        self.net.record_history = on;
     }
 
     /// The recorded route changes, in time order.
     pub fn history(&self) -> &[RouteChange] {
-        &self.history
+        &self.net.history
     }
 
     /// Takes ownership of the recorded history, clearing the buffer.
     pub fn take_history(&mut self) -> Vec<RouteChange> {
-        std::mem::take(&mut self.history)
+        std::mem::take(&mut self.net.history)
     }
 
     pub fn stats(&self) -> SimStats {
-        self.stats
+        self.net.stats
     }
 
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.net.nodes.len()
     }
 
     /// Current best route of `node` for `prefix`.
     pub fn best(&self, node: NodeId, prefix: &Prefix) -> Option<&Selected> {
-        self.nodes[node.index()].best(prefix)
+        self.net.nodes[node.index()].best(prefix)
     }
 
     /// Longest-prefix-match lookup in `node`'s FIB.
     pub fn fib_lookup(&self, node: NodeId, addr: u32) -> Option<(Prefix, NextHop)> {
-        self.nodes[node.index()].fib_lookup(addr)
+        self.net.nodes[node.index()].fib_lookup(addr)
     }
 
     /// Does `node` currently originate `prefix`?
     pub fn originates(&self, node: NodeId, prefix: &Prefix) -> bool {
-        self.nodes[node.index()].originates(prefix)
+        self.net.nodes[node.index()].originates(prefix)
     }
 
     /// Direct node access (read-only), for diagnostics and tests.
     pub fn node(&self, id: NodeId) -> &BgpNode {
-        &self.nodes[id.index()]
+        &self.net.nodes[id.index()]
     }
 
     /// Starts originating `prefix` at `node`.
@@ -380,76 +295,36 @@ impl BgpSim {
         node: NodeId,
         prefix: Prefix,
         cfg: OriginConfig,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) {
-        let changed = self.nodes[node.index()].originate(
-            now,
-            prefix,
-            cfg,
-            &self.timing,
-            &mut self.proc_rngs[node.index()],
-            out,
-        );
-        if changed {
-            self.record_change(now, node, prefix);
+        let (n, timing, rng) = self.net.node_mut(node);
+        if n.originate(now, prefix, cfg, timing, rng, out) {
+            self.net.record_change(now, node, prefix);
         }
     }
 
     /// Stops originating `prefix` at `node`.
-    pub fn withdraw(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        prefix: Prefix,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
-    ) {
-        let changed = self.nodes[node.index()].withdraw_origin(
-            now,
-            prefix,
-            &self.timing,
-            &mut self.proc_rngs[node.index()],
-            out,
-        );
-        if changed {
-            self.record_change(now, node, prefix);
+    pub fn withdraw(&mut self, now: SimTime, node: NodeId, prefix: Prefix, out: &mut Emitted) {
+        let (n, timing, rng) = self.net.node_mut(node);
+        if n.withdraw_origin(now, prefix, timing, rng, out) {
+            self.net.record_change(now, node, prefix);
         }
     }
 
     /// Processes one event, pushing follow-ups into `out`.
-    pub fn handle(&mut self, now: SimTime, ev: BgpEvent, out: &mut Vec<(SimDuration, BgpEvent)>) {
+    pub fn handle(&mut self, now: SimTime, ev: BgpEvent, out: &mut Emitted) {
+        let net = &mut self.net;
         match ev {
             BgpEvent::Deliver { to, from, msg } => {
-                self.stats.messages += 1;
-                // Message-level model: the update crosses the wire as RFC
-                // 4271 bytes, and a refresh from a restarting peer prunes
-                // the graceful-restart stale set.
-                let msg = if let Some(layer) = self.session.as_mut() {
-                    let msg = roundtrip_update(msg);
-                    if let Some(nix) = self.nodes[to.index()].neighbor_index(from) {
-                        let stale = &mut layer.sessions[to.index()][nix].stale;
-                        if !stale.is_empty() {
-                            if let Ok(pos) = stale.binary_search(&msg.prefix()) {
-                                stale.remove(pos);
-                            }
-                        }
-                    }
-                    msg
-                } else {
-                    msg
+                net.stats.messages += 1;
+                let msg = match &mut self.fsm {
+                    Some(fsm) => fsm.deliver(net, to, from, msg),
+                    None => msg,
                 };
                 let prefix = msg.prefix();
-                let changed = self.nodes[to.index()].receive(
-                    now,
-                    from,
-                    msg,
-                    &self.timing,
-                    &mut self.proc_rngs[to.index()],
-                    out,
-                );
-                if changed {
-                    self.stats.best_changes += 1;
-                    self.record_change(now, to, prefix);
-                }
+                let (n, timing, rng) = net.node_mut(to);
+                let changed = n.receive(now, from, msg, timing, rng, out);
+                net.best_changed(now, to, changed.then_some(prefix));
             }
             BgpEvent::Fire {
                 node,
@@ -457,46 +332,33 @@ impl BgpSim {
                 prefix,
                 gen,
             } => {
-                self.nodes[node.index()].fire(now, neighbor, prefix, gen, &self.timing, out);
+                net.nodes[node.index()].fire(now, neighbor, prefix, gen, &net.timing, out);
             }
             BgpEvent::DampingReuse {
                 node,
                 neighbor,
                 prefix,
             } => {
-                let changed = self.nodes[node.index()].damping_reuse(
-                    now,
-                    neighbor,
-                    prefix,
-                    &self.timing,
-                    &mut self.proc_rngs[node.index()],
-                    out,
-                );
-                if changed {
-                    self.stats.best_changes += 1;
-                    self.record_change(now, node, prefix);
+                let (n, timing, rng) = net.node_mut(node);
+                let changed = n.damping_reuse(now, neighbor, prefix, timing, rng, out);
+                net.best_changed(now, node, changed.then_some(prefix));
+            }
+            BgpEvent::HoldExpire {
+                node,
+                neighbor,
+                gen,
+            } => {
+                // Stale if the session went down again after this timer was
+                // armed: that outage's own timer does the purging.
+                if net.nodes[node.index()].hold_gen(neighbor) == gen {
+                    net.expire_now(now, node, neighbor, out);
                 }
             }
-            BgpEvent::HoldExpire { node, neighbor } => {
-                self.expire_now(now, node, neighbor, out);
-            }
+            // Message-level events; the abstract model never schedules them.
             BgpEvent::SessionMsg { to, from, payload } => {
-                let Some(mut layer) = self.session.take() else {
-                    return; // abstract model: stray event, drop
-                };
-                if self.wire_ok(&layer, to, from) {
-                    self.stats.session_msgs += 1;
-                    // Exercise the wire codec on every session message:
-                    // serialize, parse, feed the *parsed* form to the FSM.
-                    let full = payload.to_message(from.index() as u32);
-                    let bytes = codec::encode(&full).expect("session message encodes");
-                    let (decoded, len) = codec::decode(&bytes).expect("session message decodes");
-                    debug_assert_eq!(len, bytes.len());
-                    let payload = SessionPayload::from_message(&decoded)
-                        .expect("session payload survives the codec");
-                    self.drive(&mut layer, now, to, from, FsmInput::Recv(payload), out);
+                if let Some(fsm) = &mut self.fsm {
+                    fsm.session_msg(net, now, to, from, payload, out);
                 }
-                self.session = Some(layer);
             }
             BgpEvent::SessionTimer {
                 node,
@@ -504,325 +366,41 @@ impl BgpSim {
                 kind,
                 gen,
             } => {
-                self.session_timer(now, node, neighbor, kind, gen, out);
-            }
-        }
-    }
-
-    /// Purge everything learned from `neighbor` at `node` right now (the
-    /// session must already be marked down), with stats/history
-    /// bookkeeping.
-    fn expire_now(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        neighbor: NodeId,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
-    ) {
-        let idx = node.index();
-        let changed = self.nodes[idx].expire_session(
-            now,
-            neighbor,
-            &self.timing,
-            &mut self.proc_rngs[idx],
-            out,
-        );
-        for prefix in changed {
-            self.stats.best_changes += 1;
-            self.record_change(now, node, prefix);
-        }
-    }
-
-    /// Control-plane teardown with purge: the session drops (forwarding
-    /// preserved — physical cuts go through `fail_session` separately) and
-    /// every route learned from the peer is removed.
-    fn teardown_purge(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        peer: NodeId,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
-    ) {
-        self.nodes[node.index()].fail_session_control(peer);
-        self.expire_now(now, node, peer, out);
-    }
-
-    /// Can a message (or TCP connect) cross the wire between `a` and `b`?
-    fn wire_ok(&self, layer: &SessionLayer, a: NodeId, b: NodeId) -> bool {
-        let (Some(ab), Some(ba)) = (
-            self.nodes[a.index()].neighbor_index(b),
-            self.nodes[b.index()].neighbor_index(a),
-        ) else {
-            return false;
-        };
-        let sa = &layer.sessions[a.index()][ab];
-        let sb = &layer.sessions[b.index()][ba];
-        sa.admin_up && sb.admin_up && !sa.blocked && !sb.blocked
-    }
-
-    /// Schedules a jittered connect-retry for `node`'s session to `peer`,
-    /// `extra` from now. The jitter draws from the node's processing-delay
-    /// stream, so it is deterministic given the seed and event order.
-    fn schedule_retry(
-        &mut self,
-        layer: &mut SessionLayer,
-        node: NodeId,
-        peer: NodeId,
-        nix: usize,
-        extra: SimDuration,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
-    ) {
-        let idx = node.index();
-        let jit: f64 = self.proc_rngs[idx].gen_range(0.5..1.5) * layer.knobs.connect_retry_s;
-        let gen = layer.arm(idx, nix, SessionTimerKind::ConnectRetry);
-        out.push((
-            SimDuration::from_secs_f64(extra.as_secs_f64() + jit),
-            BgpEvent::SessionTimer {
-                node,
-                neighbor: peer,
-                kind: SessionTimerKind::ConnectRetry,
-                gen,
-            },
-        ));
-    }
-
-    /// Feeds one input to the FSM for `node`'s session to `peer` and
-    /// performs the required effects. TCP connects resolve instantly
-    /// ([`Self::wire_ok`]); timer requests follow the integration policy
-    /// documented in DESIGN.md §9 (steady-state liveness timers elided so
-    /// `run_to_idle` terminates; fault paths arm them explicitly).
-    fn drive(
-        &mut self,
-        layer: &mut SessionLayer,
-        now: SimTime,
-        node: NodeId,
-        peer: NodeId,
-        input: FsmInput,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
-    ) {
-        let idx = node.index();
-        let Some(nix) = self.nodes[idx].neighbor_index(peer) else {
-            return;
-        };
-        let mut fx = Vec::new();
-        layer.sessions[idx][nix].fsm.step(input, &mut fx);
-        // Honor Arm(Keepalive) only on OpenConfirm entry (an OPEN just
-        // arrived): one bounded shot, never re-armed from its own firing —
-        // a wedged handshake must not tick forever.
-        let ka_entry = matches!(input, FsmInput::Recv(SessionPayload::Open { .. }));
-        for o in fx {
-            match o {
-                FsmOutput::Send(payload) => {
-                    let delay = self.nodes[idx].neighbors()[nix].delay;
-                    out.push((
-                        delay,
-                        BgpEvent::SessionMsg {
-                            to: peer,
-                            from: node,
-                            payload,
-                        },
-                    ));
-                }
-                FsmOutput::AttemptConnect => {
-                    let tcp = if self.wire_ok(layer, node, peer) {
-                        FsmInput::TcpUp
-                    } else {
-                        FsmInput::TcpFail
-                    };
-                    self.drive(layer, now, node, peer, tcp, out);
-                }
-                FsmOutput::Arm(kind, d) => {
-                    if kind == TimerKind::Keepalive && ka_entry {
-                        let gen = layer.arm(idx, nix, SessionTimerKind::Keepalive);
-                        out.push((
-                            d,
-                            BgpEvent::SessionTimer {
-                                node,
-                                neighbor: peer,
-                                kind: SessionTimerKind::Keepalive,
-                                gen,
-                            },
-                        ));
-                    }
-                    // ConnectRetry and Hold are scheduled explicitly (with
-                    // jitter) by the fault injectors; steady-state requests
-                    // are elided — the wire is loss-free.
-                }
-                FsmOutput::Up { .. } => {
-                    layer.cancel(idx, nix, SessionTimerKind::Hold);
-                    layer.cancel(idx, nix, SessionTimerKind::Keepalive);
-                    let (n, rng) = (&mut self.nodes[idx], &mut self.proc_rngs[idx]);
-                    n.restore_session(now, peer, &self.timing, rng, out);
-                }
-                FsmOutput::Down { reason } => match reason {
-                    DownReason::PeerRestarting { window_s } => {
-                        // Graceful restart: keep forwarding AND keep the
-                        // routes (marked stale) for the advertised window.
-                        self.nodes[idx].fail_session_control(peer);
-                        layer.sessions[idx][nix].stale = self.nodes[idx].prefixes_from(peer);
-                        let gen = layer.arm(idx, nix, SessionTimerKind::StaleSweep);
-                        out.push((
-                            SimDuration::from_secs_f64(f64::from(window_s)),
-                            BgpEvent::SessionTimer {
-                                node,
-                                neighbor: peer,
-                                kind: SessionTimerKind::StaleSweep,
-                                gen,
-                            },
-                        ));
-                    }
-                    DownReason::HoldExpired => {
-                        self.teardown_purge(now, node, peer, out);
-                        // Reconnect on our own initiative (the peer may be
-                        // gone); parks in Active if the wire is still dead.
-                        self.schedule_retry(layer, node, peer, nix, SimDuration::ZERO, out);
-                    }
-                    DownReason::NotificationReceived { .. } | DownReason::Stopped => {
-                        // Injector-driven teardown: purge now; whether and
-                        // when to reconnect is the injector's decision
-                        // (receivers of a NOTIFICATION listen passively).
-                        self.teardown_purge(now, node, peer, out);
-                    }
-                },
-            }
-        }
-    }
-
-    /// A [`BgpEvent::SessionTimer`] fired: generation-check, then dispatch.
-    fn session_timer(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        neighbor: NodeId,
-        kind: SessionTimerKind,
-        gen: u32,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
-    ) {
-        let Some(mut layer) = self.session.take() else {
-            return;
-        };
-        let idx = node.index();
-        if let Some(nix) = self.nodes[idx].neighbor_index(neighbor) {
-            if layer.sessions[idx][nix].gens[kind_ix(kind)] == gen {
-                match kind {
-                    SessionTimerKind::ConnectRetry => {
-                        // A retry firing from our own side implies the local
-                        // process is reachable again (graceful-restart
-                        // completion clears the block).
-                        layer.sessions[idx][nix].blocked = false;
-                        let input = if layer.sessions[idx][nix].fsm.state() == PeerState::Idle {
-                            FsmInput::Start
-                        } else {
-                            FsmInput::Timer(TimerKind::ConnectRetry)
-                        };
-                        self.drive(&mut layer, now, node, neighbor, input, out);
-                    }
-                    SessionTimerKind::Hold => {
-                        self.drive(
-                            &mut layer,
-                            now,
-                            node,
-                            neighbor,
-                            FsmInput::Timer(TimerKind::Hold),
-                            out,
-                        );
-                    }
-                    SessionTimerKind::Keepalive => {
-                        self.drive(
-                            &mut layer,
-                            now,
-                            node,
-                            neighbor,
-                            FsmInput::Timer(TimerKind::Keepalive),
-                            out,
-                        );
-                    }
-                    SessionTimerKind::StaleSweep => {
-                        // The graceful-restart window closed: purge whatever
-                        // the restarted peer never re-advertised.
-                        let stale = std::mem::take(&mut layer.sessions[idx][nix].stale);
-                        let changed = self.nodes[idx].purge_stale_from(
-                            now,
-                            neighbor,
-                            &stale,
-                            &self.timing,
-                            &mut self.proc_rngs[idx],
-                            out,
-                        );
-                        for prefix in changed {
-                            self.stats.best_changes += 1;
-                            self.record_change(now, node, prefix);
-                        }
-                    }
+                if let Some(fsm) = &mut self.fsm {
+                    fsm.timer(net, now, node, neighbor, kind, gen, out);
                 }
             }
         }
-        self.session = Some(layer);
     }
 
     /// Fails the link between `a` and `b` silently: no withdrawals are
     /// sent; each side discovers the failure when its hold timer expires
     /// (or via the operator's monitoring at a higher layer). In-flight and
     /// future messages on the link are lost.
-    pub fn fail_link(
-        &mut self,
-        now: SimTime,
-        a: NodeId,
-        b: NodeId,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
-    ) {
-        if self.session.is_some() {
-            self.ml_link_down(now, a, b, out);
-            return;
-        }
-        let hold = self.timing.hold_time();
-        for (x, y) in [(a, b), (b, a)] {
-            // Only a real up→down transition arms a hold timer: failing an
-            // already-failed link (a SilentCrash after a drill, overlapping
-            // whole-site failures) must not schedule a duplicate HoldExpire,
-            // which would rerun the purge and inflate best_changes/history.
-            if self.nodes[x.index()].fail_session(y) {
-                out.push((
-                    hold,
-                    BgpEvent::HoldExpire {
-                        node: x,
-                        neighbor: y,
-                    },
-                ));
+    pub fn fail_link(&mut self, _now: SimTime, a: NodeId, b: NodeId, out: &mut Emitted) {
+        match &mut self.fsm {
+            Some(fsm) => fsm.fail_link(&mut self.net, a, b, out),
+            None => {
+                for (x, y) in [(a, b), (b, a)] {
+                    // Only a real up→down transition arms a hold timer:
+                    // failing an already-failed link (a SilentCrash after a
+                    // drill, overlapping whole-site failures) must not
+                    // schedule a duplicate HoldExpire, which would rerun
+                    // the purge and inflate best_changes/history.
+                    if self.net.nodes[x.index()].fail_session(y) {
+                        self.net.arm_hold(x, y, out);
+                    }
+                }
             }
         }
     }
 
     /// Restores a failed link; both ends re-establish and exchange full
     /// tables.
-    pub fn restore_link(
-        &mut self,
-        now: SimTime,
-        a: NodeId,
-        b: NodeId,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
-    ) {
-        if self.session.is_some() {
-            self.ml_link_up(now, a, b, out);
-            return;
-        }
-        self.restore_sessions_raw(now, a, b, out);
-    }
-
-    /// The abstract restore: flip both directions up and re-export full
-    /// tables. Also the message-level fast path when both FSMs survived
-    /// the outage.
-    fn restore_sessions_raw(
-        &mut self,
-        now: SimTime,
-        a: NodeId,
-        b: NodeId,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
-    ) {
-        for (x, y) in [(a, b), (b, a)] {
-            let idx = x.index();
-            let (node, rng) = (&mut self.nodes[idx], &mut self.proc_rngs[idx]);
-            node.restore_session(now, y, &self.timing, rng, out);
+    pub fn restore_link(&mut self, now: SimTime, a: NodeId, b: NodeId, out: &mut Emitted) {
+        match &mut self.fsm {
+            Some(fsm) => fsm.restore_link(&mut self.net, now, a, b, out),
+            None => self.net.restore_pair(now, a, b, out),
         }
     }
 
@@ -838,95 +416,14 @@ impl BgpSim {
     /// (see [`BgpSim::notify_reset`]): both ends purge, then re-establish
     /// after a jittered connect-retry — duplicate updates *plus* a real
     /// withdraw/re-announce flap, which is what damping actually penalizes.
-    pub fn reset_link(
-        &mut self,
-        now: SimTime,
-        a: NodeId,
-        b: NodeId,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
-    ) {
-        if self.session.is_some() {
-            self.notify_reset(now, a, b, CEASE, out);
-            return;
-        }
-        self.fail_link(now, a, b, out);
-        self.restore_link(now, a, b, out);
-    }
-
-    /// Message-level physical cut: both directions go administratively
-    /// down, and each endpoint whose session was Established discovers the
-    /// loss when its (now explicitly armed) hold timer expires.
-    fn ml_link_down(
-        &mut self,
-        _now: SimTime,
-        a: NodeId,
-        b: NodeId,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
-    ) {
-        let Some(mut layer) = self.session.take() else {
-            return;
-        };
-        for (x, y) in [(a, b), (b, a)] {
-            let xi = x.index();
-            let Some(nix) = self.nodes[xi].neighbor_index(y) else {
-                continue;
-            };
-            layer.sessions[xi][nix].admin_up = false;
-            if self.nodes[xi].fail_session(y) && layer.sessions[xi][nix].fsm.is_established() {
-                let hold = layer.sessions[xi][nix].fsm.hold_time();
-                let gen = layer.arm(xi, nix, SessionTimerKind::Hold);
-                out.push((
-                    hold,
-                    BgpEvent::SessionTimer {
-                        node: x,
-                        neighbor: y,
-                        kind: SessionTimerKind::Hold,
-                        gen,
-                    },
-                ));
+    pub fn reset_link(&mut self, now: SimTime, a: NodeId, b: NodeId, out: &mut Emitted) {
+        match &mut self.fsm {
+            Some(fsm) => fsm.notify_reset(&mut self.net, now, a, b, CEASE, out),
+            None => {
+                self.fail_link(now, a, b, out);
+                self.net.restore_pair(now, a, b, out);
             }
         }
-        self.session = Some(layer);
-    }
-
-    /// Message-level link restoration. If both FSMs are still Established
-    /// (the outage fit inside the hold window) the sessions never noticed:
-    /// cancel the hold timers and restore. Otherwise each torn-down side
-    /// restarts its handshake; an endpoint still Established sees the fresh
-    /// OPEN and replaces its session.
-    fn ml_link_up(
-        &mut self,
-        now: SimTime,
-        a: NodeId,
-        b: NodeId,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
-    ) {
-        let Some(mut layer) = self.session.take() else {
-            return;
-        };
-        let (Some(ab), Some(ba)) = (
-            self.nodes[a.index()].neighbor_index(b),
-            self.nodes[b.index()].neighbor_index(a),
-        ) else {
-            self.session = Some(layer);
-            return;
-        };
-        layer.sessions[a.index()][ab].admin_up = true;
-        layer.sessions[b.index()][ba].admin_up = true;
-        let both_established = layer.sessions[a.index()][ab].fsm.is_established()
-            && layer.sessions[b.index()][ba].fsm.is_established();
-        if both_established {
-            layer.cancel(a.index(), ab, SessionTimerKind::Hold);
-            layer.cancel(b.index(), ba, SessionTimerKind::Hold);
-            self.restore_sessions_raw(now, a, b, out);
-        } else {
-            for (x, y, nix) in [(a, b, ab), (b, a, ba)] {
-                if !layer.sessions[x.index()][nix].fsm.is_established() {
-                    self.drive(&mut layer, now, x, y, FsmInput::Start, out);
-                }
-            }
-        }
-        self.session = Some(layer);
     }
 
     /// `a` resets its session to `b` with a NOTIFICATION carrying `code`:
@@ -941,29 +438,17 @@ impl BgpSim {
         a: NodeId,
         b: NodeId,
         code: u8,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) {
-        if let Some(mut layer) = self.session.take() {
-            self.drive(
-                &mut layer,
-                now,
-                a,
-                b,
-                FsmInput::Stop {
-                    notify: Some((code, 0)),
-                },
-                out,
-            );
-            if let Some(nix) = self.nodes[a.index()].neighbor_index(b) {
-                self.schedule_retry(&mut layer, a, b, nix, SimDuration::ZERO, out);
+        match &mut self.fsm {
+            Some(fsm) => fsm.notify_reset(&mut self.net, now, a, b, code, out),
+            None => {
+                for (x, y) in [(a, b), (b, a)] {
+                    self.net.nodes[x.index()].fail_session(y);
+                    self.net.expire_now(now, x, y, out);
+                }
+                self.net.restore_pair(now, a, b, out);
             }
-            self.session = Some(layer);
-        } else {
-            for (x, y) in [(a, b), (b, a)] {
-                self.nodes[x.index()].fail_session(y);
-                self.expire_now(now, x, y, out);
-            }
-            self.restore_sessions_raw(now, a, b, out);
         }
     }
 
@@ -978,50 +463,14 @@ impl BgpSim {
     /// Abstract approximation: same two-phase purge via [`BgpEvent::HoldExpire`],
     /// but no re-establishment (the abstract model has no reconnect logic).
     /// Forwarding stays up in both models: the wire is fine.
-    pub fn half_open(
-        &mut self,
-        now: SimTime,
-        site: NodeId,
-        peer: NodeId,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
-    ) {
-        if let Some(mut layer) = self.session.take() {
-            self.drive(
-                &mut layer,
-                now,
-                peer,
-                site,
-                FsmInput::Stop { notify: None },
-                out,
-            );
-            let si = site.index();
-            if let Some(nix) = self.nodes[si].neighbor_index(peer) {
-                if layer.sessions[si][nix].fsm.is_established() {
-                    let hold = layer.sessions[si][nix].fsm.hold_time();
-                    let gen = layer.arm(si, nix, SessionTimerKind::Hold);
-                    out.push((
-                        hold,
-                        BgpEvent::SessionTimer {
-                            node: site,
-                            neighbor: peer,
-                            kind: SessionTimerKind::Hold,
-                            gen,
-                        },
-                    ));
+    pub fn half_open(&mut self, now: SimTime, site: NodeId, peer: NodeId, out: &mut Emitted) {
+        match &mut self.fsm {
+            Some(fsm) => fsm.half_open(&mut self.net, now, site, peer, out),
+            None => {
+                self.net.teardown_purge(now, peer, site, out);
+                if self.net.nodes[site.index()].fail_session_control(peer) {
+                    self.net.arm_hold(site, peer, out);
                 }
-            }
-            self.session = Some(layer);
-        } else {
-            self.nodes[peer.index()].fail_session_control(site);
-            self.expire_now(now, peer, site, out);
-            if self.nodes[site.index()].fail_session_control(peer) {
-                out.push((
-                    self.timing.hold_time(),
-                    BgpEvent::HoldExpire {
-                        node: site,
-                        neighbor: peer,
-                    },
-                ));
             }
         }
     }
@@ -1041,37 +490,19 @@ impl BgpSim {
         now: SimTime,
         node: NodeId,
         restart: SimDuration,
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) {
-        if let Some(mut layer) = self.session.take() {
-            let idx = node.index();
-            for nix in 0..layer.sessions[idx].len() {
-                let peer = self.nodes[idx].neighbors()[nix].peer;
-                // The restarting process forgets its session state without
-                // touching the FIB; its TCP is unreachable until restart
-                // completes. (The node's own RIB is preserved, as if
-                // checkpointed — the model captures the peer-side retention
-                // and the control-plane outage window.)
-                let cfg = layer.sessions[idx][nix].fsm.config();
-                layer.sessions[idx][nix].fsm = PeerFsm::new(cfg);
-                layer.sessions[idx][nix].blocked = true;
-                layer.sessions[idx][nix].stale.clear();
-                layer.cancel_all(idx, nix);
-                self.nodes[idx].fail_session_control(peer);
-                // The peer detects the restart (GR negotiated ⇒ retain).
-                self.drive(&mut layer, now, peer, node, FsmInput::PeerRestart, out);
-                // Restart completes after `restart`, then reconnect.
-                self.schedule_retry(&mut layer, node, peer, nix, restart, out);
-            }
-            self.session = Some(layer);
-        } else {
-            let peers: Vec<NodeId> = self.nodes[node.index()]
-                .neighbors()
-                .iter()
-                .map(|n| n.peer)
-                .collect();
-            for peer in peers {
-                self.reset_link(now, node, peer, out);
+        match &mut self.fsm {
+            Some(fsm) => fsm.graceful_restart(&mut self.net, now, node, restart, out),
+            None => {
+                let peers: Vec<NodeId> = self.net.nodes[node.index()]
+                    .neighbors()
+                    .iter()
+                    .map(|n| n.peer)
+                    .collect();
+                for peer in peers {
+                    self.reset_link(now, node, peer, out);
+                }
             }
         }
     }
@@ -1082,7 +513,7 @@ impl BgpSim {
         now: SimTime,
         node: NodeId,
         topo_neighbors: &[NodeId],
-        out: &mut Vec<(SimDuration, BgpEvent)>,
+        out: &mut Emitted,
     ) {
         for &peer in topo_neighbors {
             self.fail_link(now, node, peer, out);
@@ -1095,25 +526,14 @@ impl BgpSim {
     /// them so graceful restart and half-open sessions keep forwarding
     /// while the control plane is down.
     pub fn link_is_up(&self, a: NodeId, b: NodeId) -> bool {
-        self.nodes[a.index()].forwarding_is_up(b) && self.nodes[b.index()].forwarding_is_up(a)
-    }
-
-    fn record_change(&mut self, now: SimTime, node: NodeId, prefix: Prefix) {
-        if !self.record_history {
-            return;
-        }
-        self.history.push(RouteChange {
-            time: now,
-            node,
-            prefix,
-            new: self.nodes[node.index()].best(&prefix).cloned(),
-        });
+        self.net.nodes[a.index()].forwarding_is_up(b)
+            && self.net.nodes[b.index()].forwarding_is_up(a)
     }
 }
 
 struct Adapter<'a> {
     sim: &'a mut BgpSim,
-    scratch: &'a mut Vec<(SimDuration, BgpEvent)>,
+    scratch: &'a mut Emitted,
 }
 
 impl Handler<BgpEvent> for Adapter<'_> {
@@ -1154,7 +574,7 @@ pub struct Standalone {
     /// Reusable buffer for events emitted by [`BgpSim`] before they are
     /// scheduled on the engine — one allocation for the sim's lifetime
     /// instead of one per injected operation or handled event.
-    scratch: Vec<(SimDuration, BgpEvent)>,
+    scratch: Emitted,
 }
 
 impl Standalone {
@@ -1267,9 +687,8 @@ impl Standalone {
     /// announcing anything; run the engine afterwards to let the sessions
     /// establish.
     pub fn enable_message_level(&mut self) {
-        self.sim.enable_message_level(SessionKnobs::default());
         let now = self.engine.now();
-        self.sim.start_sessions(now, &mut self.scratch);
+        self.sim.enable_message_level(now, &mut self.scratch);
         self.flush_scratch();
     }
 
@@ -1564,7 +983,7 @@ mod tests {
 
     /// A message-level Standalone over the chain topology with sessions
     /// established and `prefix` announced from `leaf`.
-    fn ml_converged() -> (Standalone, NodeId, NodeId, NodeId, NodeId, Prefix) {
+    fn message_level_converged() -> (Standalone, NodeId, NodeId, NodeId, NodeId, Prefix) {
         let (topo, t1, mid, leaf, leaf2) = chain();
         let rng = RngFactory::new(1);
         let mut s = Standalone::new(&topo, BgpTimingConfig::instant(), &rng);
@@ -1584,7 +1003,7 @@ mod tests {
         a.announce(leaf, pre, OriginConfig::plain());
         a.run_to_idle(1_000_000);
 
-        let (m, ..) = ml_converged();
+        let (m, ..) = message_level_converged();
         for n in [t1, mid, leaf, leaf2] {
             assert_eq!(
                 m.sim().best(n, &pre),
@@ -1604,7 +1023,7 @@ mod tests {
 
     #[test]
     fn message_level_notify_reset_flaps_and_recovers() {
-        let (mut s, t1, mid, _leaf, leaf2, pre) = ml_converged();
+        let (mut s, t1, mid, _leaf, leaf2, pre) = message_level_converged();
         s.sim_mut().set_record_history(true);
         let before = s.sim().stats().session_msgs;
         s.notify_reset(t1, mid, 6); // administrative Cease from t1
@@ -1626,7 +1045,7 @@ mod tests {
 
     #[test]
     fn message_level_half_open_purges_peer_then_site() {
-        let (mut s, t1, mid, _leaf, _leaf2, pre) = ml_converged();
+        let (mut s, t1, mid, _leaf, _leaf2, pre) = message_level_converged();
         // t1's side of the (mid, t1) session silently loses its state.
         s.half_open(mid, t1);
         s.run_until_secs(1);
@@ -1644,7 +1063,7 @@ mod tests {
 
     #[test]
     fn message_level_graceful_restart_retains_routes() {
-        let (mut s, t1, mid, _leaf, _leaf2, pre) = ml_converged();
+        let (mut s, t1, mid, _leaf, _leaf2, pre) = message_level_converged();
         s.sim_mut().set_record_history(true);
         let best_before = *s.sim().best(t1, &pre).unwrap();
         s.graceful_restart(mid, SimDuration::from_secs(5));
@@ -1666,7 +1085,7 @@ mod tests {
 
     #[test]
     fn message_level_link_cut_purges_at_hold_and_recovers_on_restore() {
-        let (mut s, t1, mid, _leaf, leaf2, pre) = ml_converged();
+        let (mut s, t1, mid, _leaf, leaf2, pre) = message_level_converged();
         s.fail_link(t1, mid);
         // Before the hold timer: sessions still Established, routes kept.
         s.run_until_secs(1);

@@ -313,3 +313,29 @@ fn flap_sequence_restores_full_rib_equivalence() {
         );
     }
 }
+
+#[test]
+fn reset_then_cut_keeps_full_hold_window() {
+    // A session reset arms hold timers that find the session back up when
+    // they fire. If the same link is cut 60 s after the reset, the reset's
+    // timer (due at +90 s) must not purge the new outage: that one gets its
+    // own full hold window and purges at +150 s.
+    let (topo, t1, p1, _p2, origin) = diamond();
+    let rng = RngFactory::new(1);
+    let mut s = Standalone::new(&topo, timing(90.0), &rng);
+    let pre = p("184.164.244.0/24");
+    s.announce(origin, pre, OriginConfig::plain());
+    s.run_to_idle(1_000_000);
+    let t0 = s.now();
+    s.reset_link(origin, p1);
+    s.run_until(t0 + SimDuration::from_secs(60), 1_000_000);
+    s.fail_link(origin, p1);
+    s.run_until(t0 + SimDuration::from_secs(149), 1_000_000);
+    assert_eq!(
+        s.sim().best(p1, &pre).unwrap().from,
+        Some(origin),
+        "the reset's stale hold timer purged the later outage early"
+    );
+    s.run_until(t0 + SimDuration::from_secs(151), 1_000_000);
+    assert_eq!(s.sim().best(p1, &pre).unwrap().from, Some(t1));
+}

@@ -266,7 +266,7 @@ fn cmd_failover(opts: &Options) -> Result<String, String> {
         .cdn
         .by_name(site_name)
         .ok_or_else(|| format!("unknown site {site_name:?}"))?;
-    let r = run_failover(&tb, &technique, site);
+    let (r, _) = run_failover(&tb, &technique, site)?;
     let recon = Cdf::new(r.reconnection_secs());
     let fail = Cdf::new(r.failover_secs());
     Ok(format!(
@@ -654,7 +654,7 @@ fn cmd_scenario(opts: &Options) -> Result<String, String> {
                 .cdn
                 .by_name(&site_name)
                 .ok_or_else(|| format!("unknown site {site_name:?}"))?;
-            let r = run_failover(&tb, &technique, site);
+            let (r, _) = run_failover(&tb, &technique, site)?;
             let recon = Cdf::new(r.reconnection_secs());
             let fail = Cdf::new(r.failover_secs());
             Ok(format!(
@@ -981,6 +981,21 @@ mod tests {
         assert!(ran.contains("scenario site-failure"), "{ran}");
         assert!(ran.contains("site=bos"), "{ran}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn uncompilable_scenario_is_an_error_not_a_panic() {
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/bad-link-scenario.json"
+        );
+        let validated = run(&s(&["scenario", "validate", fixture, "--scale", "quick"]));
+        let ran = run(&s(&[
+            "scenario", "run", fixture, "--site", "bos", "--scale", "quick",
+        ]));
+        for err in [validated.unwrap_err(), ran.unwrap_err()] {
+            assert!(err.contains("link index 999 out of range"), "{err}");
+        }
     }
 
     #[test]

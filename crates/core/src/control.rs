@@ -38,8 +38,8 @@ pub fn measure_control(testbed: &Testbed, site: SiteId, prepend_counts: &[u8]) -
 
 /// [`measure_control`] plus the cell's perf counters (event count, peak
 /// queue depth, wall time) — the control-cell analogue of
-/// `run_failover_instrumented`, so Table 1 cells show up in `PerfLog` and
-/// can be dispatched to distributed workers.
+/// [`run_failover`](crate::run_failover)'s counters, so Table 1 cells show
+/// up in `PerfLog` and can be dispatched to distributed workers.
 pub fn measure_control_instrumented(
     testbed: &Testbed,
     site: SiteId,

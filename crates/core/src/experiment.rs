@@ -699,27 +699,11 @@ impl CellPerf {
     }
 }
 
-/// Runs one failover experiment. See the module docs for the protocol.
-pub fn run_failover(testbed: &Testbed, technique: &Technique, failed: SiteId) -> FailoverResult {
-    run_failover_instrumented(testbed, technique, failed).0
-}
-
-/// [`run_failover`] plus the cell's perf counters (event count, peak queue
-/// depth, wall time). The experiment result itself is unaffected.
-///
-/// Panics on an invalid scenario; [`try_run_failover_instrumented`] is the
-/// fallible variant remote workers use.
-pub fn run_failover_instrumented(
-    testbed: &Testbed,
-    technique: &Technique,
-    failed: SiteId,
-) -> (FailoverResult, CellPerf) {
-    try_run_failover_instrumented(testbed, technique, failed).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_failover_instrumented`] that reports scenario compilation errors
-/// instead of panicking.
-pub fn try_run_failover_instrumented(
+/// Runs one failover experiment (see the module docs for the protocol) and
+/// returns its result with the cell's perf counters (event count, peak
+/// queue depth, wall time). A scenario that does not compile against the
+/// testbed is an error, not a panic.
+pub fn run_failover(
     testbed: &Testbed,
     technique: &Technique,
     failed: SiteId,
@@ -789,9 +773,7 @@ fn run_cell(
     // through the wire codec) before — and interleaved with, FIFO ties —
     // the initial announcements, exactly like routers booting up.
     if matches!(cfg.session_model, SessionModel::MessageLevel) {
-        run.bgp
-            .enable_message_level(bobw_bgp::SessionKnobs::default());
-        run.bgp.start_sessions(engine.now(), &mut run.scratch);
+        run.bgp.enable_message_level(engine.now(), &mut run.scratch);
     }
     let mut initial: Vec<Action> = technique.before(plan, topo, cdn, failed);
     // Measurement prefixes: RTT probe unicast from the site under test,
@@ -995,7 +977,7 @@ mod tests {
     fn reactive_anycast_full_control_and_recovery() {
         let tb = quick_testbed();
         let site = tb.site("bos");
-        let r = run_failover(&tb, &Technique::ReactiveAnycast, site);
+        let (r, _) = run_failover(&tb, &Technique::ReactiveAnycast, site).expect("cell runs");
         assert!(r.num_selected > 0, "no targets selected");
         // Unicast-prefix techniques control every target.
         assert!(
@@ -1023,7 +1005,7 @@ mod tests {
     fn anycast_controllable_set_is_its_catchment() {
         let tb = quick_testbed();
         let site = tb.site("ams");
-        let r = run_failover(&tb, &Technique::Anycast, site);
+        let (r, _) = run_failover(&tb, &Technique::Anycast, site).expect("cell runs");
         // ams is well connected: its anycast catchment includes nearby
         // clients, so some targets must be controllable...
         assert!(r.num_controllable > 0);
@@ -1043,7 +1025,7 @@ mod tests {
             prepends: 3,
             selective: false,
         };
-        let r = run_failover(&tb, &t, site);
+        let (r, _) = run_failover(&tb, &t, site).expect("cell runs");
         assert!(r.num_selected > 0);
         // sea1's profile (mostly peers at a commercial IX, with R&E-backed
         // sea2 nearby) must lose a meaningful share of targets.
@@ -1079,8 +1061,8 @@ mod tests {
     fn results_are_deterministic() {
         let tb = quick_testbed();
         let site = tb.site("bos");
-        let a = run_failover(&tb, &Technique::Anycast, site);
-        let b = run_failover(&tb, &Technique::Anycast, site);
+        let (a, _) = run_failover(&tb, &Technique::Anycast, site).expect("cell runs");
+        let (b, _) = run_failover(&tb, &Technique::Anycast, site).expect("cell runs");
         assert_eq!(a.num_controllable, b.num_controllable);
         assert_eq!(a.outcomes, b.outcomes);
     }
@@ -1106,8 +1088,8 @@ mod tests {
         let scripted = Testbed::new(scripted_cfg);
         let site = legacy.site("bos");
         for t in [&Technique::ReactiveAnycast, &Technique::Anycast] {
-            let (a, pa) = run_failover_instrumented(&legacy, t, site);
-            let (b, pb) = run_failover_instrumented(&scripted, t, site);
+            let (a, pa) = run_failover(&legacy, t, site).expect("cell runs");
+            let (b, pb) = run_failover(&scripted, t, site).expect("cell runs");
             assert_eq!(format!("{a:?}"), format!("{b:?}"));
             assert_eq!(pa.events_processed, pb.events_processed);
         }
@@ -1132,8 +1114,8 @@ mod tests {
         let scripted = Testbed::new(scripted_cfg);
         let site = legacy.site("bos");
         let t = Technique::ReactiveAnycast;
-        let (a, pa) = run_failover_instrumented(&legacy, &t, site);
-        let (b, pb) = run_failover_instrumented(&scripted, &t, site);
+        let (a, pa) = run_failover(&legacy, &t, site).expect("cell runs");
+        let (b, pb) = run_failover(&scripted, &t, site).expect("cell runs");
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
@@ -1166,7 +1148,7 @@ mod tests {
         // ReactiveAnycast with no React event: after the drain withdraws
         // the site's unicast prefix, DNS re-resolution is the only way
         // back — every reconnection observed is the drain machinery.
-        let r = run_failover(&tb, &Technique::ReactiveAnycast, site);
+        let (r, _) = run_failover(&tb, &Technique::ReactiveAnycast, site).expect("cell runs");
         assert!(r.num_controllable > 0);
         assert_eq!(
             r.never_reconnected_fraction(),
@@ -1194,8 +1176,8 @@ mod tests {
         let with = Testbed::new(with_cfg);
         let site = without.site("bos");
         for t in [&Technique::Anycast, &Technique::ReactiveAnycast] {
-            let a = run_failover(&without, t, site);
-            let b = run_failover(&with, t, site);
+            let (a, _) = run_failover(&without, t, site).expect("cell runs");
+            let (b, _) = run_failover(&with, t, site).expect("cell runs");
             assert!(a.traffic.is_none());
             let summary = b.traffic.as_ref().expect("traffic enabled");
             assert!(summary.ticks > 0);
@@ -1227,6 +1209,8 @@ mod tests {
         // already carries the second-heaviest catchment — the absorber.
         let site = Testbed::new(cfg.clone()).site("atl");
         let calib = run_failover(&Testbed::new(cfg.clone()), &Technique::Anycast, site)
+            .expect("cell runs")
+            .0
             .traffic
             .unwrap();
         let ratio_before = calib.peak_before() * calibration_headroom;
@@ -1244,6 +1228,8 @@ mod tests {
         // Pure anycast: BGP dumps the dead site's catchment onto
         // neighbors and nothing can shed it — somewhere goes over 1.0.
         let anycast = run_failover(&Testbed::new(cfg.clone()), &Technique::Anycast, site)
+            .expect("cell runs")
+            .0
             .traffic
             .unwrap();
         assert!(
@@ -1261,6 +1247,8 @@ mod tests {
         // The DNS-weight controller re-packs the displaced demand within
         // every site's ceiling instead.
         let dns = run_failover(&Testbed::new(cfg), &Technique::ReactiveAnycast, site)
+            .expect("cell runs")
+            .0
             .traffic
             .unwrap();
         assert!(
@@ -1314,6 +1302,8 @@ mod tests {
             let tb = Testbed::new(cfg);
             let site = tb.site("bos");
             run_failover(&tb, &Technique::Anycast, site)
+                .expect("cell runs")
+                .0
                 .traffic
                 .unwrap()
         };
@@ -1368,7 +1358,7 @@ mod tests {
             });
             let tb = Testbed::new(cfg);
             let site = tb.site("bos");
-            run_failover_instrumented(&tb, &Technique::ReactiveAnycast, site)
+            run_failover(&tb, &Technique::ReactiveAnycast, site).expect("cell runs")
         };
         let (all_at_once, pa) = scripted(None);
         let (staged, pb) = scripted(Some(5.0));
@@ -1399,15 +1389,15 @@ mod tests {
         let warm = quick_testbed();
         let site = warm.site("bos");
         assert_eq!(warm.queue_capacity_hint(), 0);
-        let (first, perf) = run_failover_instrumented(&warm, &Technique::Anycast, site);
+        let (first, perf) = run_failover(&warm, &Technique::Anycast, site).expect("cell runs");
         assert_eq!(
             warm.queue_capacity_hint(),
             perf.peak_queue_depth,
             "the finished cell's peak must become the hint"
         );
         // Second run on the warm testbed starts with a preallocated queue.
-        let (second, _) = run_failover_instrumented(&warm, &Technique::Anycast, site);
-        let (reference, _) = run_failover_instrumented(&cold, &Technique::Anycast, site);
+        let (second, _) = run_failover(&warm, &Technique::Anycast, site).expect("cell runs");
+        let (reference, _) = run_failover(&cold, &Technique::Anycast, site).expect("cell runs");
         let dump = |r: &FailoverResult| format!("{r:?}");
         assert_eq!(dump(&second), dump(&first));
         assert_eq!(dump(&second), dump(&reference));
@@ -1426,8 +1416,8 @@ mod tests {
         let explicit = Testbed::new(cfg);
         let site = legacy.site("bos");
         for technique in [Technique::Anycast, Technique::ReactiveAnycast] {
-            let (a, pa) = run_failover_instrumented(&legacy, &technique, site);
-            let (b, pb) = run_failover_instrumented(&explicit, &technique, site);
+            let (a, pa) = run_failover(&legacy, &technique, site).expect("cell runs");
+            let (b, pb) = run_failover(&explicit, &technique, site).expect("cell runs");
             assert_eq!(format!("{a:?}"), format!("{b:?}"));
             assert_eq!(pa.events_processed, pb.events_processed);
         }
@@ -1449,14 +1439,14 @@ mod tests {
         let mut techniques = Technique::figure2_set();
         techniques.push(Technique::Combined);
         for technique in &techniques {
-            let r = run_failover(&tb, technique, site);
+            let (r, _) = run_failover(&tb, technique, site).expect("cell runs");
             assert!(
                 r.num_selected > 0,
                 "{}: no targets selected under message-level",
                 r.technique
             );
         }
-        let r = run_failover(&tb, &Technique::ReactiveAnycast, site);
+        let (r, _) = run_failover(&tb, &Technique::ReactiveAnycast, site).expect("cell runs");
         assert!(
             r.control_fraction() > 0.99,
             "reactive-anycast control under message-level: {}",
@@ -1479,8 +1469,8 @@ mod tests {
         };
         let (ta, tb) = (mk(), mk());
         let site = ta.site("ams");
-        let (a, pa) = run_failover_instrumented(&ta, &Technique::ReactiveAnycast, site);
-        let (b, pb) = run_failover_instrumented(&tb, &Technique::ReactiveAnycast, site);
+        let (a, pa) = run_failover(&ta, &Technique::ReactiveAnycast, site).expect("cell runs");
+        let (b, pb) = run_failover(&tb, &Technique::ReactiveAnycast, site).expect("cell runs");
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_eq!(pa.events_processed, pb.events_processed);
     }
@@ -1514,6 +1504,8 @@ mod tests {
             let tb = Testbed::new(cfg);
             let site = tb.site("bos");
             run_failover(&tb, &Technique::Unicast, site)
+                .expect("cell runs")
+                .0
         };
         let ml = run_with(SessionModel::MessageLevel);
         let ab = run_with(SessionModel::Abstract);
@@ -1560,7 +1552,7 @@ mod tests {
                 cfg.session_model = model;
                 let tb = Testbed::new(cfg);
                 let site = tb.site("bos");
-                let r = run_failover(&tb, &Technique::Unicast, site);
+                let (r, _) = run_failover(&tb, &Technique::Unicast, site).expect("cell runs");
                 assert!(
                     r.num_selected > 0,
                     "{action:?} under {model:?}: no targets selected"

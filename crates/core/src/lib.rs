@@ -43,8 +43,8 @@ pub use control::{measure_control, measure_control_instrumented, ControlResult};
 pub use divergence::{analyze_divergence, DivergenceReport};
 pub use dns_experiment::{run_unicast_dns_failover, DnsClientConfig};
 pub use experiment::{
-    run_failover, run_failover_instrumented, try_run_failover_instrumented, CellPerf,
-    ExperimentConfig, FailoverResult, FailureMode, ReactionFault, SessionModel, Testbed,
+    run_failover, CellPerf, ExperimentConfig, FailoverResult, FailureMode, ReactionFault,
+    SessionModel, Testbed,
 };
 pub use metrics::{analyze_target, OutcomeFold, TargetOutcome};
 pub use plan::AddressPlan;

@@ -35,7 +35,8 @@ fn skip_sites_degrades_failover_monotonically() {
         let mut cfg = config(21);
         cfg.reaction_fault = (n > 0).then_some(ReactionFault::SkipSites(n));
         let tb = Testbed::new(cfg);
-        let r = run_failover(&tb, &Technique::ReactiveAnycast, tb.site("bos"));
+        let (r, _) =
+            run_failover(&tb, &Technique::ReactiveAnycast, tb.site("bos")).expect("cell runs");
         assert!(r.num_controllable > 0);
         stranded.push(never_reconnected(&r));
     }
@@ -58,12 +59,14 @@ fn wrong_prefix_typo_slows_failover_to_withdrawal_convergence() {
     // until its withdrawal converges — so instead of reactive-anycast's
     // fast failover, clients crawl back at proactive-superprefix speed.
     let clean_tb = Testbed::new(config(22));
-    let clean = run_failover(&clean_tb, &Technique::ReactiveAnycast, clean_tb.site("bos"));
+    let (clean, _) = run_failover(&clean_tb, &Technique::ReactiveAnycast, clean_tb.site("bos"))
+        .expect("cell runs");
 
     let mut cfg = config(22);
     cfg.reaction_fault = Some(ReactionFault::WrongPrefix);
     let tb = Testbed::new(cfg);
-    let typo = run_failover(&tb, &Technique::ReactiveAnycast, tb.site("bos"));
+    let (typo, _) =
+        run_failover(&tb, &Technique::ReactiveAnycast, tb.site("bos")).expect("cell runs");
 
     assert_eq!(clean.num_controllable, typo.num_controllable);
     assert!(
@@ -96,6 +99,8 @@ fn silent_crash_converges_only_after_hold_timer() {
         cfg.timing.hold_time_s = hold_s;
         let tb = Testbed::new(cfg);
         run_failover(&tb, &Technique::Anycast, tb.site("slc"))
+            .expect("cell runs")
+            .0
     };
     let graceful = mk(FailureMode::GracefulWithdrawal);
     let crash = mk(FailureMode::SilentCrash);
@@ -133,7 +138,7 @@ fn bfd_style_detection_restores_fast_crash_failover() {
         cfg.failure_mode = FailureMode::SilentCrash;
         cfg.timing.hold_time_s = hold_s;
         let tb = Testbed::new(cfg);
-        let r = run_failover(&tb, &Technique::Anycast, tb.site("msn"));
+        let (r, _) = run_failover(&tb, &Technique::Anycast, tb.site("msn")).expect("cell runs");
         let recons = r.reconnection_secs();
         assert!(!recons.is_empty());
         recons.iter().cloned().fold(f64::INFINITY, f64::min)

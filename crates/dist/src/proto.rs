@@ -558,12 +558,12 @@ mod tests {
 
     #[test]
     fn failover_result_round_trips_via_execution() {
-        use bobw_core::{run_failover_instrumented, Technique, Testbed};
+        use bobw_core::{run_failover, Technique, Testbed};
         let mut cfg = ExperimentConfig::quick(7);
         cfg.targets_per_site = 20;
         let tb = Testbed::new(cfg);
         let site = tb.site("bos");
-        let (r, perf) = run_failover_instrumented(&tb, &Technique::ReactiveAnycast, site);
+        let (r, perf) = run_failover(&tb, &Technique::ReactiveAnycast, site).expect("cell runs");
         let out = CellOutput::Failover(r.clone(), perf);
         let bytes = encode_vec(&out);
         let back: CellOutput = decode_exact(&bytes).unwrap();
@@ -588,13 +588,13 @@ mod tests {
     /// resilience matrix is computed on the coordinator from these.
     #[test]
     fn traffic_summary_round_trips_via_execution() {
-        use bobw_core::{run_failover_instrumented, Technique, Testbed};
+        use bobw_core::{run_failover, Technique, Testbed};
         let mut cfg = ExperimentConfig::quick(7);
         cfg.targets_per_site = 20;
         cfg.traffic = Some(bobw_core::TrafficConfig::default());
         let tb = Testbed::new(cfg);
         let site = tb.site("bos");
-        let (r, perf) = run_failover_instrumented(&tb, &Technique::ReactiveAnycast, site);
+        let (r, perf) = run_failover(&tb, &Technique::ReactiveAnycast, site).expect("cell runs");
         assert!(r.traffic.is_some(), "traffic layer must have observed");
         let bytes = encode_vec(&CellOutput::Failover(r.clone(), perf));
         let back: CellOutput = decode_exact(&bytes).unwrap();

@@ -25,7 +25,7 @@
 //! 4. exits on `Shutdown` or a closed socket.
 //!
 //! Determinism: the cell computation is exactly the same
-//! `run_failover_instrumented` / `measure_control_instrumented` call a
+//! `run_failover` / `measure_control_instrumented` call a
 //! local run makes, against a `Testbed` built from the coordinator's own
 //! config — so a cell's bytes are identical no matter which process (or
 //! which of its threads) ran it.
@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
-use bobw_core::{measure_control_instrumented, try_run_failover_instrumented, Technique, Testbed};
+use bobw_core::{measure_control_instrumented, run_failover, Technique, Testbed};
 
 use crate::auth::AuthSecret;
 use crate::endpoint::{Conn, Endpoint};
@@ -372,7 +372,7 @@ pub fn execute_cell(tb: &Testbed, cell: &CellSpec) -> Result<CellOutput, String>
                 .cdn
                 .by_name(site)
                 .ok_or_else(|| format!("unknown site {site:?}"))?;
-            let (result, perf) = try_run_failover_instrumented(tb, &technique, site)?;
+            let (result, perf) = run_failover(tb, &technique, site)?;
             Ok(CellOutput::Failover(result, perf))
         }
         CellSpec::Control { site, prepends } => {

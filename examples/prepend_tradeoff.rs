@@ -46,7 +46,7 @@ fn main() {
             prepends: k,
             selective: false,
         };
-        let r = run_failover(&testbed, &t, site);
+        let (r, _) = run_failover(&testbed, &t, site).expect("cell runs");
         let fail = Cdf::new(r.failover_secs());
         println!(
             "    prepend {k}: failover p50 {:>6.1}s  p90 {:>6.1}s  (control {:>4.0}%)",
@@ -67,7 +67,7 @@ fn main() {
             prepends: 3,
             selective,
         };
-        let r = run_failover(&testbed, &t, site);
+        let (r, _) = run_failover(&testbed, &t, site).expect("cell runs");
         let fail = Cdf::new(r.failover_secs());
         println!(
             "    selective={selective}: control {:>4.0}%  failover p50 {:>6.1}s  p90 {:>6.1}s  never-reconnected {:>4.1}%",

@@ -45,7 +45,7 @@ fn main() {
         Technique::ProactiveSuperprefix,
         Technique::Combined,
     ] {
-        let r = run_failover(&testbed, &technique, site);
+        let (r, _) = run_failover(&testbed, &technique, site).expect("cell runs");
         let recon = Cdf::new(r.reconnection_secs());
         let fail = Cdf::new(r.failover_secs());
         println!(

@@ -20,7 +20,7 @@ fn main() {
     let failed = testbed.site("atl");
 
     println!("== Site failure drill: 'atl' goes dark under reactive-anycast ==\n");
-    let r = run_failover(&testbed, &Technique::ReactiveAnycast, failed);
+    let (r, _) = run_failover(&testbed, &Technique::ReactiveAnycast, failed).expect("cell runs");
 
     // Aggregate view.
     let recon = Cdf::new(r.reconnection_secs());

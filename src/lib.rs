@@ -22,7 +22,8 @@
 //! cfg.probe.duration = bobw::event::SimDuration::from_secs(60);
 //! let testbed = Testbed::new(cfg);
 //! // ...fail the Boston site under reactive-anycast...
-//! let result = run_failover(&testbed, &Technique::ReactiveAnycast, testbed.site("bos"));
+//! let (result, _perf) = run_failover(&testbed, &Technique::ReactiveAnycast, testbed.site("bos"))
+//!     .expect("the built-in site failure compiles");
 //! // ...and look at how fast clients came back.
 //! assert!(result.num_controllable > 0);
 //! assert!(!result.reconnection_secs().is_empty());

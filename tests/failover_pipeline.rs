@@ -16,7 +16,7 @@ fn testbed(seed: u64) -> Testbed {
 fn failover_median(tb: &Testbed, t: &Technique, sites: &[&str]) -> f64 {
     let mut all = Vec::new();
     for s in sites {
-        let r = run_failover(tb, t, tb.site(s));
+        let (r, _) = run_failover(tb, t, tb.site(s)).expect("cell runs");
         all.extend(r.failover_secs());
     }
     Cdf::new(all).median().expect("samples")
@@ -57,7 +57,7 @@ fn unicast_prefix_techniques_control_everything() {
         Technique::ProactiveSuperprefix,
         Technique::Unicast,
     ] {
-        let r = run_failover(&tb, &t, tb.site("bos"));
+        let (r, _) = run_failover(&tb, &t, tb.site("bos")).expect("cell runs");
         assert!(r.num_selected > 0);
         assert!(
             r.control_fraction() > 0.99,
@@ -80,7 +80,7 @@ fn prepending_controls_some_but_not_all() {
     let mut controlled_everything = true;
     let mut controlled_nothing = true;
     for s in ["ams", "bos", "sea1", "sea2", "msn", "slc"] {
-        let r = run_failover(&tb, &t, tb.site(s));
+        let (r, _) = run_failover(&tb, &t, tb.site(s)).expect("cell runs");
         if r.num_selected == 0 {
             continue;
         }
@@ -111,7 +111,7 @@ fn all_clients_eventually_served_by_survivors() {
         Technique::Combined,
     ] {
         let failed = tb.site("atl");
-        let r = run_failover(&tb, &t, failed);
+        let (r, _) = run_failover(&tb, &t, failed).expect("cell runs");
         for o in &r.outcomes {
             if let Some(site) = o.final_site {
                 assert_ne!(
@@ -137,7 +137,7 @@ fn all_clients_eventually_served_by_survivors() {
 fn reconnection_lower_bounds_failover() {
     // Metric sanity across the whole pipeline (§5.4.1 definitions).
     let tb = testbed(15);
-    let r = run_failover(&tb, &Technique::ReactiveAnycast, tb.site("slc"));
+    let (r, _) = run_failover(&tb, &Technique::ReactiveAnycast, tb.site("slc")).expect("cell runs");
     for o in &r.outcomes {
         if let (Some(rec), Some(f)) = (o.reconnection, o.failover) {
             assert!(rec <= f, "reconnection {rec} > failover {f}");
@@ -155,8 +155,8 @@ fn deterministic_end_to_end() {
     // identical measurements.
     let ta = testbed(16);
     let tb = testbed(16);
-    let ra = run_failover(&ta, &Technique::Combined, ta.site("msn"));
-    let rb = run_failover(&tb, &Technique::Combined, tb.site("msn"));
+    let (ra, _) = run_failover(&ta, &Technique::Combined, ta.site("msn")).expect("cell runs");
+    let (rb, _) = run_failover(&tb, &Technique::Combined, tb.site("msn")).expect("cell runs");
     assert_eq!(ra.num_candidates, rb.num_candidates);
     assert_eq!(ra.num_controllable, rb.num_controllable);
     assert_eq!(ra.outcomes, rb.outcomes);
