@@ -977,7 +977,7 @@ mod tests {
 
     fn wire(path: &[u32], origin: NodeId) -> WireRoute {
         WireRoute {
-            path: AsPath::from_hops(path.iter().map(|a| Asn(*a)).collect()),
+            path: AsPath::from_hops(&path.iter().map(|a| Asn(*a)).collect::<Vec<_>>()),
             med: 0,
             origin,
             no_export: false,

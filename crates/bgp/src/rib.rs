@@ -270,7 +270,7 @@ mod tests {
 
     fn attrs(pref: u32, hops: &[u32], med: u32) -> RouteAttrs {
         RouteAttrs {
-            path: AsPath::from_hops(hops.iter().map(|&a| Asn(a)).collect()),
+            path: AsPath::from_hops(&hops.iter().map(|&a| Asn(a)).collect::<Vec<_>>()),
             local_pref: pref,
             med,
             origin: NodeId(99),

@@ -8,7 +8,7 @@
 //! management is implicit.
 
 use bobw_event::{SimDuration, SimTime};
-use bobw_net::{AsPath, NodeId, Prefix};
+use bobw_net::{AsPath, Asn, NodeId, Prefix};
 use bobw_session::{
     codec, BgpMessage, DownReason, FsmInput, FsmOutput, PeerFsm, PeerState, SessionConfig,
     SessionPayload, TimerKind, UpdateAttrs, UpdateMsg,
@@ -47,6 +47,10 @@ pub(crate) struct FsmSessions {
     /// `sessions[node][nix]` for the session from `node` to its `nix`-th
     /// neighbor.
     sessions: Vec<Vec<PeerSession>>,
+    wire: Wire,
+    /// Emptied FSM-output buffers for [`Self::drive`]: a pool, not one
+    /// buffer, because `drive` recurses through `AttemptConnect`.
+    fx_pool: Vec<Vec<FsmOutput>>,
 }
 
 fn kind_ix(kind: SessionTimerKind) -> usize {
@@ -58,49 +62,81 @@ fn kind_ix(kind: SessionTimerKind) -> usize {
     }
 }
 
-/// Every route UPDATE and WITHDRAW crosses the wire as RFC 4271 bytes.
-/// Encode, decode, and rebuild — the *decoded* message is what gets
-/// delivered, so a codec asymmetry would surface as a routing difference
-/// instead of passing silently.
-fn roundtrip_update(msg: Message) -> Message {
-    let update = match msg {
-        Message::Update { prefix, route } => UpdateMsg {
-            withdrawn: Vec::new(),
-            attrs: Some(UpdateAttrs {
-                as_path: route.path.hops(),
-                med: route.med,
-                origin_node: route.origin.index() as u32,
-                no_export: route.no_export,
-            }),
-            nlri: vec![prefix],
-        },
-        Message::Withdraw { prefix } => UpdateMsg {
-            withdrawn: vec![prefix],
-            attrs: None,
-            nlri: Vec::new(),
-        },
-    };
-    let bytes = codec::encode(&BgpMessage::Update(update)).expect("route update encodes");
-    let (decoded, len) = codec::decode(&bytes).expect("route update decodes");
-    debug_assert_eq!(len, bytes.len());
-    let BgpMessage::Update(u) = decoded else {
-        unreachable!("UPDATE decodes as UPDATE");
-    };
-    let rebuilt = match (&u.withdrawn[..], &u.nlri[..], u.attrs) {
-        ([], [prefix], Some(a)) => Message::Update {
-            prefix: *prefix,
-            route: WireRoute {
-                path: AsPath::from_hops(a.as_path),
-                med: a.med,
-                origin: NodeId(a.origin_node),
-                no_export: a.no_export,
+/// The wire codec's reused state. Every message crosses it as RFC 4271
+/// bytes, and the *decoded* message is what gets delivered, so a codec
+/// asymmetry would surface as a routing difference instead of passing
+/// silently. Once warm, a route message encodes and decodes without
+/// touching the allocator.
+struct Wire {
+    /// The outgoing route message, refilled in place.
+    tx: BgpMessage,
+    /// The frame between encode and decode.
+    bytes: Vec<u8>,
+    /// The decoded message.
+    rx: BgpMessage,
+    /// The one AS-path buffer, parked here between messages so that it
+    /// survives withdrawals, which carry none.
+    spare_path: Vec<Asn>,
+}
+
+impl Wire {
+    /// Encodes, decodes and rebuilds one route UPDATE or WITHDRAW.
+    fn route(&mut self, msg: Message) -> Message {
+        let tx = self.tx.update_mut();
+        tx.withdrawn.clear();
+        tx.nlri.clear();
+        match msg {
+            Message::Update { prefix, route } => {
+                let mut as_path = std::mem::take(&mut self.spare_path);
+                as_path.clear();
+                route.path.with_hops(|hops| as_path.extend_from_slice(hops));
+                tx.attrs = Some(UpdateAttrs {
+                    as_path,
+                    med: route.med,
+                    origin_node: route.origin.index() as u32,
+                    no_export: route.no_export,
+                });
+                tx.nlri.push(prefix);
+            }
+            Message::Withdraw { prefix } => tx.withdrawn.push(prefix),
+        }
+        codec::encode_into(&self.tx, &mut self.bytes).expect("route update encodes");
+        // The frame is written, so the path buffer moves on to the decoder,
+        // which keeps only its capacity.
+        self.rx.update_mut().attrs = self.tx.update_mut().attrs.take();
+        let len = codec::decode_into(&self.bytes, &mut self.rx).expect("route update decodes");
+        debug_assert_eq!(len, self.bytes.len());
+        let BgpMessage::Update(u) = &mut self.rx else {
+            unreachable!("UPDATE decodes as UPDATE");
+        };
+        let rebuilt = match (&u.withdrawn[..], &u.nlri[..], &u.attrs) {
+            ([], [prefix], Some(a)) => Message::Update {
+                prefix: *prefix,
+                route: WireRoute {
+                    path: AsPath::from_hops(&a.as_path),
+                    med: a.med,
+                    origin: NodeId(a.origin_node),
+                    no_export: a.no_export,
+                },
             },
-        },
-        ([prefix], [], None) => Message::Withdraw { prefix: *prefix },
-        _ => unreachable!("codec preserved the update shape"),
-    };
-    debug_assert_eq!(rebuilt, msg);
-    rebuilt
+            ([prefix], [], None) => Message::Withdraw { prefix: *prefix },
+            _ => unreachable!("codec preserved the update shape"),
+        };
+        if let Some(a) = u.attrs.take() {
+            self.spare_path = a.as_path;
+        }
+        debug_assert_eq!(rebuilt, msg);
+        rebuilt
+    }
+
+    /// Encodes, decodes and digests one session-management message.
+    fn session(&mut self, payload: SessionPayload, bgp_id: u32) -> SessionPayload {
+        let full = payload.to_message(bgp_id);
+        codec::encode_into(&full, &mut self.bytes).expect("session message encodes");
+        let len = codec::decode_into(&self.bytes, &mut self.rx).expect("session message decodes");
+        debug_assert_eq!(len, self.bytes.len());
+        SessionPayload::from_message(&self.rx).expect("session payload survives the codec")
+    }
 }
 
 impl FsmSessions {
@@ -136,7 +172,16 @@ impl FsmSessions {
         for node in &mut net.nodes {
             node.quiesce_sessions();
         }
-        let mut fsm = FsmSessions { sessions };
+        let mut fsm = FsmSessions {
+            sessions,
+            wire: Wire {
+                tx: BgpMessage::Update(UpdateMsg::default()),
+                bytes: Vec::new(),
+                rx: BgpMessage::Keepalive,
+                spare_path: Vec::new(),
+            },
+            fx_pool: Vec::new(),
+        };
         for i in 0..net.nodes.len() {
             let node = net.nodes[i].id;
             for nix in 0..fsm.sessions[i].len() {
@@ -156,7 +201,7 @@ impl FsmSessions {
         from: NodeId,
         msg: Message,
     ) -> Message {
-        let msg = roundtrip_update(msg);
+        let msg = self.wire.route(msg);
         if let Some(nix) = net.nodes[to.index()].neighbor_index(from) {
             let stale = &mut self.sessions[to.index()][nix].stale;
             if let Ok(pos) = stale.binary_search(&msg.prefix()) {
@@ -181,12 +226,7 @@ impl FsmSessions {
             return;
         }
         net.stats.session_msgs += 1;
-        let full = payload.to_message(from.index() as u32);
-        let bytes = codec::encode(&full).expect("session message encodes");
-        let (decoded, len) = codec::decode(&bytes).expect("session message decodes");
-        debug_assert_eq!(len, bytes.len());
-        let payload =
-            SessionPayload::from_message(&decoded).expect("session payload survives the codec");
+        let payload = self.wire.session(payload, from.index() as u32);
         self.drive(net, now, to, from, FsmInput::Recv(payload), out);
     }
 
@@ -438,13 +478,13 @@ impl FsmSessions {
         let Some(nix) = net.nodes[idx].neighbor_index(peer) else {
             return;
         };
-        let mut fx = Vec::new();
+        let mut fx = self.fx_pool.pop().unwrap_or_default();
         self.sessions[idx][nix].fsm.step(input, &mut fx);
         // Honor Arm(Keepalive) only on OpenConfirm entry (an OPEN just
         // arrived): one bounded shot, never re-armed from its own firing —
         // a wedged handshake must not tick forever.
         let ka_entry = matches!(input, FsmInput::Recv(SessionPayload::Open { .. }));
-        for o in fx {
+        for o in fx.drain(..) {
             match o {
                 FsmOutput::Send(payload) => {
                     let delay = net.nodes[idx].neighbors()[nix].delay;
@@ -500,5 +540,6 @@ impl FsmSessions {
                 },
             }
         }
+        self.fx_pool.push(fx);
     }
 }

@@ -70,7 +70,7 @@ fn arb_trace() -> impl Strategy<Value = Vec<Op>> {
 
 fn attrs(local_pref: u32, hops: &[u32], med: u32) -> RouteAttrs {
     RouteAttrs {
-        path: AsPath::from_hops(hops.iter().map(|&a| Asn(a)).collect()),
+        path: AsPath::from_hops(&hops.iter().map(|&a| Asn(a)).collect::<Vec<_>>()),
         local_pref,
         med,
         origin: NodeId(99),

@@ -182,9 +182,10 @@ impl AsPath {
         AsPath::from_id(id, count as usize)
     }
 
-    /// Builds a path from explicit hops, nearest first.
-    pub fn from_hops(hops: Vec<Asn>) -> AsPath {
-        let id = PathTable::with(|t| t.intern(&hops));
+    /// Builds a path from explicit hops, nearest first. Interns the slice
+    /// directly: no copy is made unless the sequence is new to the table.
+    pub fn from_hops(hops: &[Asn]) -> AsPath {
+        let id = PathTable::with(|t| t.intern(hops));
         AsPath::from_id(id, hops.len())
     }
 
@@ -296,7 +297,7 @@ impl Serialize for AsPath {
 impl Deserialize for AsPath {
     fn from_value(v: &Value) -> Result<AsPath, DeError> {
         let hops: Vec<Asn> = serde::de::field(v, "hops")?;
-        Ok(AsPath::from_hops(hops))
+        Ok(AsPath::from_hops(&hops))
     }
 }
 
@@ -333,7 +334,7 @@ mod tests {
 
     #[test]
     fn loop_detection_sees_every_hop() {
-        let p = AsPath::from_hops(vec![Asn(3), Asn(2), Asn(1)]);
+        let p = AsPath::from_hops(&[Asn(3), Asn(2), Asn(1)]);
         assert!(p.contains(Asn(2)));
         assert!(!p.contains(Asn(4)));
     }
@@ -350,24 +351,24 @@ mod tests {
 
     #[test]
     fn display_is_space_separated() {
-        let p = AsPath::from_hops(vec![Asn(3), Asn(3), Asn(1)]);
+        let p = AsPath::from_hops(&[Asn(3), Asn(3), Asn(1)]);
         assert_eq!(p.to_string(), "3 3 1");
         assert_eq!(format!("{:?}", p), "[3 3 1]");
     }
 
     #[test]
     fn interning_dedups_equal_sequences() {
-        let a = AsPath::from_hops(vec![Asn(7), Asn(8)]);
+        let a = AsPath::from_hops(&[Asn(7), Asn(8)]);
         let b = AsPath::originate(Asn(8), 0).prepended(Asn(7), 1);
         assert_eq!(a.id(), b.id(), "same hops must intern to the same id");
         assert_eq!(a, b);
-        let c = AsPath::from_hops(vec![Asn(8), Asn(7)]);
+        let c = AsPath::from_hops(&[Asn(8), Asn(7)]);
         assert_ne!(a.id(), c.id());
     }
 
     #[test]
     fn serde_round_trip_is_hop_based() {
-        let p = AsPath::from_hops(vec![Asn(3), Asn(3), Asn(1)]);
+        let p = AsPath::from_hops(&[Asn(3), Asn(3), Asn(1)]);
         let v = p.to_value();
         // Exactly the shape the old derived `{ hops: Vec<Asn> }` produced.
         assert_eq!(

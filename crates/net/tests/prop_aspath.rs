@@ -37,7 +37,7 @@ proptest! {
     /// was built from, and every accessor matches the reference model.
     #[test]
     fn intern_round_trips_against_reference(hops in arb_hops()) {
-        let path = AsPath::from_hops(hops.clone());
+        let path = AsPath::from_hops(&hops);
         prop_assert_eq!(path.hops(), hops.clone());
         prop_assert_eq!(path.len(), hops.len());
         prop_assert_eq!(path.is_empty(), hops.is_empty());
@@ -54,8 +54,8 @@ proptest! {
     /// paths interned independently compare equal iff their hops do.
     #[test]
     fn equality_is_hop_equality(a in arb_hops(), b in arb_hops()) {
-        let pa = AsPath::from_hops(a.clone());
-        let pb = AsPath::from_hops(b.clone());
+        let pa = AsPath::from_hops(&a);
+        let pb = AsPath::from_hops(&b);
         prop_assert_eq!(pa == pb, a == b);
     }
 
@@ -69,7 +69,7 @@ proptest! {
             (1u32..32, 0u8..4).prop_map(|(asn, count)| (Asn(asn), count)), 0..5),
     ) {
         let mut expect = base.clone();
-        let mut path = AsPath::from_hops(base);
+        let mut path = AsPath::from_hops(&base);
         for &(asn, count) in &steps {
             path = path.prepended(asn, count);
             for _ in 0..count {
@@ -79,7 +79,7 @@ proptest! {
             prop_assert_eq!(path.len(), expect.len());
         }
         // Replaying the same composition must intern to the same handle.
-        prop_assert_eq!(path, AsPath::from_hops(expect));
+        prop_assert_eq!(path, AsPath::from_hops(&expect));
     }
 }
 
@@ -87,7 +87,7 @@ proptest! {
 /// (a prepend run) must display each hop, not collapse the run.
 #[test]
 fn duplicate_hops_display_individually() {
-    let path = AsPath::from_hops(vec![Asn(3), Asn(3), Asn(1)]);
+    let path = AsPath::from_hops(&[Asn(3), Asn(3), Asn(1)]);
     assert_eq!(path.to_string(), "3 3 1");
     assert_eq!(path.len(), 3);
     assert_eq!(path.distinct_len(), 2);

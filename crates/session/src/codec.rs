@@ -125,23 +125,52 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_be_bytes());
 }
 
-/// Encodes one message into a fresh framed buffer.
+/// Reserves a 2-byte length field and returns its offset for [`patch_u16`].
+fn u16_slot(out: &mut Vec<u8>) -> usize {
+    let at = out.len();
+    put_u16(out, 0);
+    at
+}
+
+/// Back-patches the 2-byte length field at `at` with the number of bytes
+/// written after it; `what` names the field if they do not fit.
+fn patch_u16(out: &mut [u8], at: usize, what: &'static str) -> Result<(), CodecError> {
+    let len = u16::try_from(out.len() - at - 2).map_err(|_| CodecError::Invalid(what))?;
+    out[at..at + 2].copy_from_slice(&len.to_be_bytes());
+    Ok(())
+}
+
+/// Capacity of the buffer [`encode`] starts from: every session message
+/// and an UPDATE with a short path fit in one allocation.
+const FRESH_FRAME_CAP: usize = 64;
+
+/// Encodes one message into a fresh framed buffer (see [`encode_into`]).
+pub fn encode(msg: &BgpMessage) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::with_capacity(FRESH_FRAME_CAP);
+    encode_into(msg, &mut out).map(|()| out)
+}
+
+/// Encodes one message as a frame in `out`, replacing its contents. The
+/// frame is written in place and its length fields are back-patched, so
+/// nothing is allocated once `out` has grown to the largest frame. On
+/// `Err`, `out` holds an unspecified partial frame.
 ///
 /// Fails only on structurally unencodable input (a capability blob that
 /// cannot fit its length byte, a four-octet ASN without the capability to
 /// carry it, a message over the RFC size cap) — never on well-formed
 /// simulator traffic.
-pub fn encode(msg: &BgpMessage) -> Result<Vec<u8>, CodecError> {
-    let mut out = vec![0xFF; 16];
-    put_u16(&mut out, 0); // length, patched below
+pub fn encode_into(msg: &BgpMessage, out: &mut Vec<u8>) -> Result<(), CodecError> {
+    out.clear();
+    out.extend_from_slice(&[0xFF; 16]);
+    put_u16(out, 0); // length, patched below
     match msg {
         BgpMessage::Open(o) => {
             out.push(TYPE_OPEN);
-            encode_open(o, &mut out)?;
+            encode_open(o, out)?;
         }
         BgpMessage::Update(u) => {
             out.push(TYPE_UPDATE);
-            encode_update(u, &mut out)?;
+            encode_update(u, out)?;
         }
         BgpMessage::Notification(n) => {
             out.push(TYPE_NOTIFICATION);
@@ -156,7 +185,7 @@ pub fn encode(msg: &BgpMessage) -> Result<Vec<u8>, CodecError> {
     }
     let len = out.len() as u16;
     out[16..18].copy_from_slice(&len.to_be_bytes());
-    Ok(out)
+    Ok(())
 }
 
 fn encode_open(o: &OpenMsg, out: &mut Vec<u8>) -> Result<(), CodecError> {
@@ -173,41 +202,35 @@ fn encode_open(o: &OpenMsg, out: &mut Vec<u8>) -> Result<(), CodecError> {
     put_u16(out, short_as);
     put_u16(out, o.hold_time_s);
     put_u32(out, o.bgp_id);
-    // One capability parameter per capability, each its own opt param.
-    let mut params = Vec::new();
+    // One capability parameter per capability, each its own opt param;
+    // the parameters' total length is patched in once they are written.
+    let plen_at = out.len();
+    out.push(0);
     for cap in &o.caps {
-        let mut body = Vec::new();
+        out.push(CAP_PARAM);
         match cap {
             Capability::FourOctetAs { asn } => {
-                body.push(CAP_FOUR_OCTET_AS);
-                body.push(4);
-                put_u32(&mut body, *asn);
+                out.extend_from_slice(&[6, CAP_FOUR_OCTET_AS, 4]);
+                put_u32(out, *asn);
             }
             Capability::GracefulRestart { restart_time_s } => {
                 if *restart_time_s > 0x0FFF {
                     return Err(CodecError::Invalid("graceful-restart time > 4095"));
                 }
-                body.push(CAP_GRACEFUL_RESTART);
-                body.push(2);
-                put_u16(&mut body, *restart_time_s);
+                out.extend_from_slice(&[4, CAP_GRACEFUL_RESTART, 2]);
+                put_u16(out, *restart_time_s);
             }
             Capability::Unknown { code, data } => {
                 if data.len() > 253 {
                     return Err(CodecError::Invalid("capability value too long"));
                 }
-                body.push(*code);
-                body.push(data.len() as u8);
-                body.extend_from_slice(data);
+                out.extend_from_slice(&[2 + data.len() as u8, *code, data.len() as u8]);
+                out.extend_from_slice(data);
             }
         }
-        params.push(CAP_PARAM);
-        params.push(body.len() as u8);
-        params.extend_from_slice(&body);
     }
-    let plen = u8::try_from(params.len())
+    out[plen_at] = u8::try_from(out.len() - plen_at - 1)
         .map_err(|_| CodecError::Invalid("optional parameters too long"))?;
-    out.push(plen);
-    out.extend_from_slice(&params);
     Ok(())
 }
 
@@ -218,19 +241,16 @@ fn encode_prefix(p: &Prefix, out: &mut Vec<u8>) {
     out.extend_from_slice(&bytes[..len.div_ceil(8) as usize]);
 }
 
-fn encode_attr(out: &mut Vec<u8>, flags: u8, kind: u8, body: &[u8]) -> Result<(), CodecError> {
-    if body.len() <= 255 {
-        out.push(flags);
-        out.push(kind);
-        out.push(body.len() as u8);
+/// Writes an attribute header for a body of `len` bytes, switching to the
+/// two-byte extended length above 255.
+fn attr_header(out: &mut Vec<u8>, flags: u8, kind: u8, len: usize) -> Result<(), CodecError> {
+    if len <= 255 {
+        out.extend_from_slice(&[flags, kind, len as u8]);
     } else {
-        let len =
-            u16::try_from(body.len()).map_err(|_| CodecError::Invalid("attribute too long"))?;
-        out.push(flags | FLAG_EXT_LEN);
-        out.push(kind);
+        let len = u16::try_from(len).map_err(|_| CodecError::Invalid("attribute too long"))?;
+        out.extend_from_slice(&[flags | FLAG_EXT_LEN, kind]);
         put_u16(out, len);
     }
-    out.extend_from_slice(body);
     Ok(())
 }
 
@@ -238,57 +258,63 @@ fn encode_update(u: &UpdateMsg, out: &mut Vec<u8>) -> Result<(), CodecError> {
     if !u.nlri.is_empty() && u.attrs.is_none() {
         return Err(CodecError::Invalid("NLRI without path attributes"));
     }
-    let mut withdrawn = Vec::new();
+    let wlen_at = u16_slot(out);
     for p in &u.withdrawn {
-        encode_prefix(p, &mut withdrawn);
+        encode_prefix(p, out);
     }
-    let wlen = u16::try_from(withdrawn.len())
-        .map_err(|_| CodecError::Invalid("withdrawn routes too long"))?;
-    put_u16(out, wlen);
-    out.extend_from_slice(&withdrawn);
+    patch_u16(out, wlen_at, "withdrawn routes too long")?;
 
-    let mut attrs = Vec::new();
+    let alen_at = u16_slot(out);
     if let Some(a) = &u.attrs {
-        encode_attr(&mut attrs, FLAG_TRANSITIVE, ATTR_ORIGIN, &[0])?;
-        let mut path = Vec::new();
+        attr_header(out, FLAG_TRANSITIVE, ATTR_ORIGIN, 1)?;
+        out.push(0);
+        // One AS_SEQUENCE segment (type, count, 4 bytes a hop) per 255 hops.
+        let hops = a.as_path.len();
+        attr_header(
+            out,
+            FLAG_TRANSITIVE,
+            ATTR_AS_PATH,
+            2 * hops.div_ceil(255) + 4 * hops,
+        )?;
         for chunk in a.as_path.chunks(255) {
-            path.push(SEG_AS_SEQUENCE);
-            path.push(chunk.len() as u8);
+            out.extend_from_slice(&[SEG_AS_SEQUENCE, chunk.len() as u8]);
             for asn in chunk {
-                put_u32(&mut path, asn.0);
+                put_u32(out, asn.0);
             }
         }
-        encode_attr(&mut attrs, FLAG_TRANSITIVE, ATTR_AS_PATH, &path)?;
-        encode_attr(&mut attrs, FLAG_OPTIONAL, ATTR_MED, &a.med.to_be_bytes())?;
+        attr_header(out, FLAG_OPTIONAL, ATTR_MED, 4)?;
+        put_u32(out, a.med);
         if a.no_export {
-            encode_attr(
-                &mut attrs,
-                FLAG_OPTIONAL | FLAG_TRANSITIVE,
-                ATTR_COMMUNITIES,
-                &NO_EXPORT_COMMUNITY.to_be_bytes(),
-            )?;
+            attr_header(out, FLAG_OPTIONAL | FLAG_TRANSITIVE, ATTR_COMMUNITIES, 4)?;
+            put_u32(out, NO_EXPORT_COMMUNITY);
         }
-        encode_attr(
-            &mut attrs,
-            FLAG_OPTIONAL | FLAG_TRANSITIVE,
-            ATTR_ORIGIN_NODE,
-            &a.origin_node.to_be_bytes(),
-        )?;
+        attr_header(out, FLAG_OPTIONAL | FLAG_TRANSITIVE, ATTR_ORIGIN_NODE, 4)?;
+        put_u32(out, a.origin_node);
     }
-    let alen =
-        u16::try_from(attrs.len()).map_err(|_| CodecError::Invalid("path attributes too long"))?;
-    put_u16(out, alen);
-    out.extend_from_slice(&attrs);
+    patch_u16(out, alen_at, "path attributes too long")?;
     for p in &u.nlri {
         encode_prefix(p, out);
     }
     Ok(())
 }
 
-/// Decodes one framed message from the front of `buf`; returns the message
-/// and the number of bytes consumed. Total: never panics, never reads past
-/// `buf`, rejects every malformed input with a [`CodecError`].
+/// Decodes one framed message from the front of `buf` (see
+/// [`decode_into`]); returns the message and the number of bytes consumed.
 pub fn decode(buf: &[u8]) -> Result<(BgpMessage, usize), CodecError> {
+    let mut msg = BgpMessage::Keepalive;
+    decode_into(buf, &mut msg).map(|len| (msg, len))
+}
+
+/// Decodes one framed message from the front of `buf` into `out` and
+/// returns the number of bytes consumed. An UPDATE into an `out` that
+/// already holds one refills its `Vec`s in place, so a warm buffer decodes
+/// without allocating; nothing of the previous message survives, and on
+/// success `out` equals what [`decode`] returns. On `Err`, `out` is left
+/// valid but unspecified.
+///
+/// Total: never panics, never reads past `buf`, rejects every malformed
+/// input with a [`CodecError`].
+pub fn decode_into(buf: &[u8], out: &mut BgpMessage) -> Result<usize, CodecError> {
     if buf.len() < HEADER_LEN {
         return Err(CodecError::Truncated);
     }
@@ -304,26 +330,26 @@ pub fn decode(buf: &[u8]) -> Result<(BgpMessage, usize), CodecError> {
     }
     let kind = buf[18];
     let mut r = Reader::new(&buf[HEADER_LEN..len]);
-    let msg = match kind {
-        TYPE_OPEN => BgpMessage::Open(decode_open(&mut r)?),
-        TYPE_UPDATE => BgpMessage::Update(decode_update(&mut r)?),
+    match kind {
+        TYPE_OPEN => *out = BgpMessage::Open(decode_open(&mut r)?),
+        TYPE_UPDATE => decode_update(&mut r, out.update_mut())?,
         TYPE_NOTIFICATION => {
             let code = r.u8()?;
             let subcode = r.u8()?;
             let data = r.take(r.remaining())?.to_vec();
-            BgpMessage::Notification(NotificationMsg {
+            *out = BgpMessage::Notification(NotificationMsg {
                 code,
                 subcode,
                 data,
-            })
+            });
         }
-        TYPE_KEEPALIVE => BgpMessage::Keepalive,
+        TYPE_KEEPALIVE => *out = BgpMessage::Keepalive,
         t => return Err(CodecError::BadType(t)),
-    };
+    }
     if r.remaining() != 0 {
         return Err(CodecError::BadLength);
     }
-    Ok((msg, len))
+    Ok(len)
 }
 
 fn decode_open(r: &mut Reader<'_>) -> Result<OpenMsg, CodecError> {
@@ -394,18 +420,39 @@ fn decode_prefix(r: &mut Reader<'_>) -> Result<Prefix, CodecError> {
     Ok(Prefix::new(bits, len))
 }
 
-fn decode_update(r: &mut Reader<'_>) -> Result<UpdateMsg, CodecError> {
+/// Bit of each attribute [`decode_update`] accepts at most once (RFC 4271
+/// §6.3: a repeated attribute is a Malformed Attribute List).
+fn attr_bit(kind: u8) -> u8 {
+    match kind {
+        ATTR_ORIGIN => 1,
+        ATTR_AS_PATH => 2,
+        ATTR_MED => 4,
+        ATTR_COMMUNITIES => 8,
+        ATTR_ORIGIN_NODE => 16,
+        _ => 0,
+    }
+}
+
+fn decode_update(r: &mut Reader<'_>, u: &mut UpdateMsg) -> Result<(), CodecError> {
+    u.withdrawn.clear();
+    u.nlri.clear();
+    // Only the path buffer of the attributes `u` already holds is reused
+    // (for its capacity); every other field starts from its default.
+    let mut as_path = u.attrs.take().map(|a| a.as_path).unwrap_or_default();
+    as_path.clear();
+    let mut a = UpdateAttrs {
+        as_path,
+        ..UpdateAttrs::default()
+    };
+
     let wlen = r.u16()? as usize;
     let mut wr = Reader::new(r.take(wlen)?);
-    let mut withdrawn = Vec::new();
     while wr.remaining() > 0 {
-        withdrawn.push(decode_prefix(&mut wr)?);
+        u.withdrawn.push(decode_prefix(&mut wr)?);
     }
     let alen = r.u16()? as usize;
     let mut ar = Reader::new(r.take(alen)?);
-    let mut attrs: Option<UpdateAttrs> = None;
-    let mut saw_origin = false;
-    let mut saw_path = false;
+    let mut seen = 0u8;
     while ar.remaining() > 0 {
         let flags = ar.u8()?;
         let kind = ar.u8()?;
@@ -415,19 +462,16 @@ fn decode_update(r: &mut Reader<'_>) -> Result<UpdateMsg, CodecError> {
             ar.u8()? as usize
         };
         let mut body = Reader::new(ar.take(blen)?);
-        let a = attrs.get_or_insert_with(|| UpdateAttrs {
-            as_path: Vec::new(),
-            med: 0,
-            origin_node: 0,
-            no_export: false,
-        });
+        if seen & attr_bit(kind) != 0 {
+            return Err(CodecError::Invalid("repeated path attribute"));
+        }
+        seen |= attr_bit(kind);
         match kind {
             ATTR_ORIGIN => {
                 if blen != 1 {
                     return Err(CodecError::Invalid("ORIGIN length"));
                 }
                 body.u8()?;
-                saw_origin = true;
             }
             ATTR_AS_PATH => {
                 while body.remaining() > 0 {
@@ -439,7 +483,6 @@ fn decode_update(r: &mut Reader<'_>) -> Result<UpdateMsg, CodecError> {
                         a.as_path.push(Asn(body.u32()?));
                     }
                 }
-                saw_path = true;
             }
             ATTR_MED => {
                 if blen != 4 {
@@ -469,24 +512,18 @@ fn decode_update(r: &mut Reader<'_>) -> Result<UpdateMsg, CodecError> {
             _ => return Err(CodecError::Invalid("unknown well-known attribute")),
         }
     }
-    let mut nlri = Vec::new();
     while r.remaining() > 0 {
-        nlri.push(decode_prefix(r)?);
+        u.nlri.push(decode_prefix(r)?);
     }
-    if !(nlri.is_empty() || (saw_origin && saw_path)) {
+    let mandatory = attr_bit(ATTR_ORIGIN) | attr_bit(ATTR_AS_PATH);
+    if !(u.nlri.is_empty() || seen & mandatory == mandatory) {
         return Err(CodecError::Invalid("NLRI without mandatory attributes"));
     }
-    // An attribute block that announced nothing (pure withdrawal with
-    // stray attributes) still decodes; equality with a canonical encode
-    // requires attrs only alongside NLRI, which `encode` enforces.
-    if nlri.is_empty() && alen == 0 {
-        attrs = None;
-    }
-    Ok(UpdateMsg {
-        withdrawn,
-        attrs,
-        nlri,
-    })
+    // Any attribute block yields attributes, even on a pure withdrawal with
+    // stray attributes; equality with a canonical encode requires attrs
+    // only alongside NLRI, which `encode` enforces.
+    u.attrs = (alen > 0).then_some(a);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -602,6 +639,72 @@ mod tests {
         let start = HEADER_LEN + 2;
         bytes[start] = 4;
         assert!(decode(&bytes).is_err());
+    }
+
+    /// A hand-built UPDATE frame: no withdrawals, the raw attribute block
+    /// `attrs`, and NLRI 10.0.0.0/8.
+    fn update_frame(attrs: &[&[u8]]) -> Vec<u8> {
+        let attrs = attrs.concat();
+        let mut out = vec![0xFF; 16];
+        put_u16(&mut out, (HEADER_LEN + 4 + attrs.len() + 2) as u16);
+        out.push(TYPE_UPDATE);
+        put_u16(&mut out, 0);
+        put_u16(&mut out, attrs.len() as u16);
+        out.extend_from_slice(&attrs);
+        out.extend_from_slice(&[8, 10]);
+        out
+    }
+
+    const ORIGIN: &[u8] = &[FLAG_TRANSITIVE, ATTR_ORIGIN, 1, 0];
+    #[rustfmt::skip]
+    const PATH_7_9: &[u8] = &[
+        FLAG_TRANSITIVE, ATTR_AS_PATH, 10,
+        SEG_AS_SEQUENCE, 2, 0, 0, 0, 7, 0, 0, 0, 9,
+    ];
+    const MED_5: &[u8] = &[FLAG_OPTIONAL, ATTR_MED, 4, 0, 0, 0, 5];
+
+    #[test]
+    fn hand_built_update_decodes() {
+        let (msg, _) = decode(&update_frame(&[ORIGIN, PATH_7_9, MED_5])).unwrap();
+        let BgpMessage::Update(u) = msg else {
+            panic!("not an UPDATE")
+        };
+        let a = u.attrs.unwrap();
+        assert_eq!(a.as_path, vec![Asn(7), Asn(9)]);
+        assert_eq!(a.med, 5);
+        assert_eq!(u.nlri, vec![p("10.0.0.0/8")]);
+    }
+
+    /// The simulator's encoder always writes MED and the origin node, so
+    /// only a hand-built frame can omit them: decoding one into a buffer
+    /// that holds them must not keep the old values.
+    #[test]
+    fn decode_into_resets_attributes_the_frame_omits() {
+        let mut out = BgpMessage::Update(UpdateMsg {
+            withdrawn: vec![p("192.168.0.0/16")],
+            attrs: Some(UpdateAttrs {
+                as_path: vec![Asn(1), Asn(2), Asn(3)],
+                med: 30,
+                origin_node: 12,
+                no_export: true,
+            }),
+            nlri: vec![p("172.16.0.0/12")],
+        });
+        let frame = update_frame(&[ORIGIN, PATH_7_9]);
+        assert_eq!(decode_into(&frame, &mut out), Ok(frame.len()));
+        assert_eq!(out, decode(&frame).unwrap().0);
+    }
+
+    #[test]
+    fn repeated_attributes_are_malformed() {
+        let repeated = CodecError::Invalid("repeated path attribute");
+        for attrs in [
+            [ORIGIN, PATH_7_9, PATH_7_9, MED_5],
+            [ORIGIN, PATH_7_9, MED_5, MED_5],
+            [ORIGIN, ORIGIN, PATH_7_9, MED_5],
+        ] {
+            assert_eq!(decode(&update_frame(&attrs)), Err(repeated.clone()));
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub mod codec;
 pub mod fsm;
 pub mod msg;
 
-pub use codec::{decode, encode, CodecError};
+pub use codec::{decode, decode_into, encode, encode_into, CodecError};
 pub use fsm::{DownReason, FsmInput, FsmOutput, PeerFsm, PeerState, SessionConfig, TimerKind};
 pub use msg::{
     BgpMessage, Capability, NotificationMsg, OpenMsg, SessionPayload, UpdateAttrs, UpdateMsg,

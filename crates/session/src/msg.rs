@@ -58,7 +58,7 @@ pub enum Capability {
 /// `bobw_bgp::WireRoute::origin`); it rides in a private-use optional
 /// transitive attribute, the way real CDNs smuggle site identity through
 /// communities.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UpdateAttrs {
     pub as_path: Vec<Asn>,
     pub med: u32,
@@ -68,7 +68,7 @@ pub struct UpdateAttrs {
 }
 
 /// An UPDATE message: withdrawn routes, attributes, announced NLRI.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UpdateMsg {
     pub withdrawn: Vec<Prefix>,
     /// `None` for a pure withdrawal (no NLRI, so no attributes).
@@ -91,6 +91,20 @@ pub enum BgpMessage {
     Update(UpdateMsg),
     Notification(NotificationMsg),
     Keepalive,
+}
+
+impl BgpMessage {
+    /// The UPDATE this message holds, after replacing any other message
+    /// type with an empty UPDATE — the buffer a caller refills in place.
+    pub fn update_mut(&mut self) -> &mut UpdateMsg {
+        if !matches!(self, BgpMessage::Update(_)) {
+            *self = BgpMessage::Update(UpdateMsg::default());
+        }
+        match self {
+            BgpMessage::Update(u) => u,
+            _ => unreachable!("just made an UPDATE"),
+        }
+    }
 }
 
 /// The `Copy` digest of a session-management message, sized for the

@@ -1,13 +1,16 @@
 //! Property tests for the BGP wire codec: every message type round-trips
 //! through encode/decode, and the decoder rejects — without panicking —
 //! truncated messages and arbitrary garbage. Mirrors the dist handshake's
-//! garbage-rejection discipline.
+//! garbage-rejection discipline. Decoding into a buffer that still holds an
+//! earlier message agrees exactly with a fresh decode.
 
 use bobw_net::{Asn, Prefix};
 use bobw_session::{
-    decode, encode, BgpMessage, Capability, NotificationMsg, OpenMsg, UpdateAttrs, UpdateMsg,
+    decode, decode_into, encode, BgpMessage, Capability, NotificationMsg, OpenMsg, UpdateAttrs,
+    UpdateMsg,
 };
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (0u32..=u32::MAX, 0u8..=32).prop_map(|(bits, len)| Prefix::new(bits, len))
@@ -99,6 +102,70 @@ fn arb_message() -> impl Strategy<Value = BgpMessage> {
     ]
 }
 
+fn announce(attrs: UpdateAttrs, nlri: Vec<Prefix>) -> BgpMessage {
+    BgpMessage::Update(UpdateMsg {
+        withdrawn: Vec::new(),
+        attrs: Some(attrs),
+        nlri,
+    })
+}
+
+fn arb_nlri() -> impl Strategy<Value = Vec<Prefix>> {
+    proptest::collection::vec(arb_prefix(), 1..6)
+}
+
+/// Message pairs whose second half is most likely to inherit state from the
+/// first through a reused buffer: a NO_EXPORT update then a plain one,
+/// attributes then a withdrawal, an OPEN then an UPDATE.
+fn arb_leaky_pair() -> impl Strategy<Value = (BgpMessage, BgpMessage)> {
+    prop_oneof![
+        (arb_attrs(), arb_nlri(), arb_attrs(), arb_nlri()).prop_map(|(mut a, n, mut b, m)| {
+            a.no_export = true;
+            b.no_export = false;
+            (announce(a, n), announce(b, m))
+        }),
+        (arb_attrs(), arb_nlri(), arb_nlri()).prop_map(|(a, n, withdrawn)| {
+            let withdrawal = BgpMessage::Update(UpdateMsg {
+                withdrawn,
+                attrs: None,
+                nlri: Vec::new(),
+            });
+            (announce(a, n), withdrawal)
+        }),
+        (arb_open(), arb_update()),
+    ]
+}
+
+/// The encoding of `msg`, left intact, cut at `frac` of its length, or
+/// with one bit flipped at `frac`.
+fn mutated(msg: &BgpMessage, (mutation, frac, bit): (u8, f64, u8)) -> Vec<u8> {
+    let mut bytes = encode(msg).expect("encodes");
+    let pos = ((bytes.len() as f64) * frac) as usize;
+    match mutation {
+        1 => bytes.truncate(pos),
+        2 => bytes[pos] ^= 1 << bit,
+        _ => {}
+    }
+    bytes
+}
+
+fn arb_mutation() -> impl Strategy<Value = (u8, f64, u8)> {
+    (0u8..3, 0.0f64..1.0, 0u8..8)
+}
+
+/// Decoding `bytes` into a buffer holding `prev` gives exactly what a fresh
+/// decode gives: equal messages and lengths, or an error from both.
+fn dirty_decode_agrees(prev: &BgpMessage, bytes: &[u8]) -> Result<(), TestCaseError> {
+    let mut out = prev.clone();
+    let dirty = decode_into(bytes, &mut out).map(|len| (out, len));
+    match (dirty, decode(bytes)) {
+        (Ok(dirty), Ok(fresh)) => prop_assert_eq!(dirty, fresh),
+        (Err(_), Err(_)) => {}
+        (dirty, fresh) => prop_assert!(false, "decode_into {dirty:?} but decode {fresh:?}"),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -140,5 +207,27 @@ proptest! {
         prop_assert!(pos < bytes.len());
         bytes[pos] ^= 1 << bit;
         let _ = decode(&bytes);
+    }
+
+    /// `decode_into` over any earlier message ≡ `decode`, on intact,
+    /// truncated and bit-flipped frames.
+    #[test]
+    fn decode_into_a_dirty_buffer_matches_decode(
+        prev in arb_message(),
+        next in arb_message(),
+        mutation in arb_mutation(),
+    ) {
+        dirty_decode_agrees(&prev, &mutated(&next, mutation))?;
+    }
+
+    /// The same over the pairs most likely to leak `withdrawn`, `nlri`,
+    /// `as_path`, `med` or `no_export` from one message into the next.
+    #[test]
+    fn decode_into_after_a_leaky_predecessor_matches_decode(
+        pair in arb_leaky_pair(),
+        mutation in arb_mutation(),
+    ) {
+        let (prev, next) = pair;
+        dirty_decode_agrees(&prev, &mutated(&next, mutation))?;
     }
 }
