@@ -11,12 +11,9 @@ use bobw_bench::appendix::{
 };
 use bobw_bench::{
     compute_appc1, compute_table1_dispatch, parse_cli, run_cells, run_failover_grid_dispatch,
-    run_or_exit, write_json, PerfLog, Scale, TechniqueSeries,
+    run_or_exit, unicast_dns_insim, write_json, PerfLog, Scale, TechniqueSeries,
 };
-use bobw_core::{
-    derive_tradeoffs, run_unicast_dns_failover, DnsClientConfig, MeasuredTechnique, Technique,
-    Testbed,
-};
+use bobw_core::{derive_tradeoffs, MeasuredTechnique, Technique, Testbed};
 use bobw_dns::{ClientPopulation, DnsFailoverConfig};
 use bobw_event::RngFactory;
 use bobw_measure::{cdf_row, markdown_table, percent, Cdf};
@@ -302,13 +299,12 @@ fn main() {
     let rng = RngFactory::new(cli.seed);
     let pop = ClientPopulation::sample(&DnsFailoverConfig::default(), 20_000, &rng);
     let dns_cdf = Cdf::new(pop.sorted_secs());
-    // In-simulation cross-check over a few sites (composite BGP+DNS+data
-    // plane with per-client resolver caches).
-    let mut insim = Vec::new();
-    for site in ["bos", "slc", "msn"] {
-        let r = run_unicast_dns_failover(&testbed, testbed.site(site), &DnsClientConfig::default());
-        insim.extend(r.reconnection_secs());
-    }
+    // In-simulation cross-check over a few sites: the unicast technique
+    // under the built-in DNS failover scenario.
+    let insim: Vec<f64> = run_or_exit(unicast_dns_insim(cfg))
+        .iter()
+        .flat_map(|r| r.reconnection_secs())
+        .collect();
     let insim_cdf = Cdf::new(insim);
     let _ = writeln!(md, "## Unicast DNS-bound failover baseline\n```");
     let _ = writeln!(md, "{}", cdf_row("unicast analytic (ttl 600s)", &dns_cdf));

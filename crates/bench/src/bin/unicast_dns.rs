@@ -6,8 +6,7 @@
 //!
 //! Run: `cargo run --release -p bobw-bench --bin unicast_dns`
 
-use bobw_bench::{parse_cli, write_json};
-use bobw_core::{run_unicast_dns_failover, DnsClientConfig, Testbed};
+use bobw_bench::{parse_cli, run_or_exit, unicast_dns_insim, write_json};
 use bobw_dns::{ClientPopulation, DnsFailoverConfig};
 use bobw_event::{RngFactory, SimDuration};
 use bobw_measure::{cdf_table, Cdf};
@@ -66,14 +65,12 @@ fn main() {
          BGP-layer failover."
     );
 
-    // --- In-simulation cross-check: run the pure-unicast CDN through the
-    // full composite (BGP + data plane + per-client resolver caches) and
-    // measure the same §5.4.1 metrics as Figure 2. ---
-    let testbed = Testbed::new(cli.scale.config(cli.seed));
+    // --- In-simulation cross-check: run the unicast technique through the
+    // same failover loop as Figure 2 (BGP + data plane + DNS de-steering
+    // with TTL violators) and measure the same §5.4.1 metrics. ---
     let mut insim_recon = Vec::new();
     let mut insim_fail = Vec::new();
-    for site in ["bos", "slc", "msn"] {
-        let r = run_unicast_dns_failover(&testbed, testbed.site(site), &DnsClientConfig::default());
+    for r in run_or_exit(unicast_dns_insim(&cli.scale.config(cli.seed))) {
         insim_recon.extend(r.reconnection_secs());
         insim_fail.extend(r.failover_secs());
     }

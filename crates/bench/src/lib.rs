@@ -21,9 +21,13 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use bobw_core::{analyze_divergence, ExperimentConfig, FailoverResult, Technique, Testbed};
+use bobw_core::{
+    analyze_divergence, run_failover, ExperimentConfig, FailoverResult, Technique, Testbed,
+};
 use bobw_dist::{CellOutput, CellSpec};
+use bobw_event::SimDuration;
 use bobw_measure::{Cdf, WeightedCdf};
+use bobw_scenario::Scenario;
 use serde::Serialize;
 
 pub mod appendix;
@@ -227,6 +231,21 @@ pub fn run_technique_all_sites_dispatch(
     let (mut grouped, log) =
         run_failover_grid_dispatch(testbed, std::slice::from_ref(technique), dispatch)?;
     Ok((grouped.pop().expect("one technique in, one group out"), log))
+}
+
+/// The in-simulation unicast DNS failover row of `unicast_dns` and
+/// `repro_all`: `Technique::Unicast` under [`Scenario::dns_failover`] at
+/// `base`'s detection delay, probed for 1 800 s so the TTL-violator tail
+/// fits in the window, failing bos, slc and msn in turn.
+pub fn unicast_dns_insim(base: &ExperimentConfig) -> Result<Vec<FailoverResult>, String> {
+    let mut cfg = base.clone();
+    cfg.scenario = Some(Scenario::dns_failover(cfg.detection_delay.as_secs_f64()));
+    cfg.probe.duration = SimDuration::from_secs(1800);
+    let testbed = Testbed::new(cfg);
+    ["bos", "slc", "msn"]
+        .iter()
+        .map(|site| Ok(run_failover(&testbed, &Technique::Unicast, testbed.site(site))?.0))
+        .collect()
 }
 
 /// Aggregated series for one technique: reconnection and failover samples

@@ -18,7 +18,8 @@
 
 use bobw_bgp::{BgpEvent, BgpSim, BgpTimingConfig};
 use bobw_dataplane::{walk, ForwardEnv, ProbeConfig};
-use bobw_dns::Authoritative;
+use bobw_dns::{Authoritative, OVERSHOOT_MEDIAN_S, OVERSHOOT_SIGMA};
+use bobw_event::rng::lognormal;
 use bobw_event::{Engine, Handler, RngFactory, Scheduler, SimDuration, SimTime};
 use bobw_net::NodeId;
 use bobw_scenario::{compile as compile_scenario, FaultOp, Scenario};
@@ -310,11 +311,12 @@ enum SimEvent {
     TrafficTick,
 }
 
-/// DNS de-steering state for maintenance-drain scenarios: the CDN's
-/// authoritative resolver plus, per target, the instant its cached record
-/// expires and it re-resolves (drawn uniformly within the drain TTL).
-/// Until then the target keeps connecting to the technique's probe
-/// address; after, it connects to whatever the authoritative answers.
+/// DNS de-steering state for drain scenarios (maintenance drains, the
+/// unicast DNS failover): the CDN's authoritative resolver plus, per
+/// target, the instant it re-resolves (its cached record's expiry, drawn
+/// uniformly within the drain TTL, plus a violator's overshoot). Until
+/// then the target keeps connecting to the technique's probe address;
+/// after, it connects to whatever the authoritative answers.
 struct DrainState {
     auth: Authoritative,
     resolve_at: Vec<Option<SimTime>>,
@@ -462,10 +464,17 @@ impl Run<'_> {
                     );
                 }
             }
-            FaultOp::Drain { node, site, ttl } => {
+            FaultOp::Drain {
+                node,
+                site,
+                ttl,
+                violators,
+            } => {
                 // Withdraw the routes, de-steer the clients. Each target's
                 // cached record expires at an independent uniform point in
-                // the TTL window (the paper's §2 DNS-failover model).
+                // the TTL window (the paper's §2 DNS-failover model); a
+                // violator keeps using it for a lognormal overshoot past
+                // expiry (Allman '20).
                 self.withdraw_all(now, node);
                 // The traffic controller steers demand off the draining
                 // site the same way DNS steers the probed targets.
@@ -477,13 +486,15 @@ impl Run<'_> {
                     let ttl_s = ttl.as_secs_f64();
                     for i in 0..d.resolve_at.len() {
                         if d.resolve_at[i].is_none() {
-                            let wait = if ttl_s > 0.0 {
-                                self.rng
-                                    .stream("scenario-desteer", i as u64)
-                                    .gen_range(0.0..ttl_s)
+                            let mut r = self.rng.stream("scenario-desteer", i as u64);
+                            let mut wait = if ttl_s > 0.0 {
+                                r.gen_range(0.0..ttl_s)
                             } else {
                                 0.0
                             };
+                            if violators > 0.0 && r.gen_bool(violators) {
+                                wait += lognormal(&mut r, OVERSHOOT_MEDIAN_S, OVERSHOOT_SIGMA);
+                            }
                             d.resolve_at[i] = Some(now + SimDuration::from_secs_f64(wait));
                         }
                     }
@@ -720,7 +731,9 @@ fn run_cell(
 ) -> Result<(FailoverResult, CellPerf, ProbeCounts), String> {
     let wall_start = std::time::Instant::now();
     let cfg = &testbed.cfg;
-    cfg.plan.validate();
+    cfg.plan
+        .validate()
+        .map_err(|e| format!("address plan: {e}"))?;
     let topo = &testbed.topo;
     let cdn = &testbed.cdn;
     let plan = &cfg.plan;
@@ -1058,6 +1071,15 @@ mod tests {
     }
 
     #[test]
+    fn bad_address_plan_is_an_error_not_a_panic() {
+        let mut cfg = ExperimentConfig::quick(7);
+        cfg.plan.covering = "10.0.0.0/23".parse().unwrap();
+        let tb = Testbed::new(cfg);
+        let err = run_failover(&tb, &Technique::Anycast, tb.site("bos")).unwrap_err();
+        assert!(err.contains("covering prefix must cover"), "{err}");
+    }
+
+    #[test]
     fn results_are_deterministic() {
         let tb = quick_testbed();
         let site = tb.site("bos");
@@ -1140,6 +1162,7 @@ mod tests {
                     site: "$site".into(),
                     ttl_s: 30.0,
                     shutdown_after_s: 60.0,
+                    violators: None,
                 },
             }],
         });

@@ -29,7 +29,6 @@
 
 pub mod control;
 pub mod divergence;
-pub mod dns_experiment;
 pub mod experiment;
 pub mod metrics;
 pub mod plan;
@@ -41,7 +40,6 @@ pub mod tradeoffs;
 pub use bobw_traffic::{RegionCapacity, Steering, TrafficConfig, TrafficSim, TrafficSummary};
 pub use control::{measure_control, measure_control_instrumented, ControlResult};
 pub use divergence::{analyze_divergence, DivergenceReport};
-pub use dns_experiment::{run_unicast_dns_failover, DnsClientConfig};
 pub use experiment::{
     run_failover, CellPerf, ExperimentConfig, FailoverResult, FailureMode, ReactionFault,
     SessionModel, Testbed,

@@ -79,31 +79,29 @@ impl AddressPlan {
         Prefix::new(self.site_block.bits() + offset, sub_len)
     }
 
-    /// Validates internal consistency; called by the experiment setup.
-    pub fn validate(&self) {
-        assert!(
-            self.covering.covers(&self.specific),
-            "covering prefix must cover the specific prefix"
-        );
-        assert!(
-            self.covering.len() < self.specific.len(),
-            "covering prefix must be less specific"
-        );
+    /// Validates internal consistency; the experiment setup calls it and
+    /// turns a violation into the cell's error.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.covering.covers(&self.specific) {
+            return Err("covering prefix must cover the specific prefix".into());
+        }
+        if self.covering.len() >= self.specific.len() {
+            return Err("covering prefix must be less specific".into());
+        }
         for (name, p) in [
             ("rtt_probe", self.rtt_probe),
             ("anycast_probe", self.anycast_probe),
             ("site_block", self.site_block),
         ] {
-            assert!(
-                !self.covering.covers(&p) && !p.covers(&self.covering),
-                "{name} must be disjoint from the experiment block"
-            );
+            if self.covering.covers(&p) || p.covers(&self.covering) {
+                return Err(format!("{name} must be disjoint from the experiment block"));
+            }
         }
-        assert!(
-            !self.rtt_probe.covers(&self.anycast_probe)
-                && !self.anycast_probe.covers(&self.rtt_probe),
-            "measurement prefixes must be disjoint"
-        );
+        if self.rtt_probe.covers(&self.anycast_probe) || self.anycast_probe.covers(&self.rtt_probe)
+        {
+            return Err("measurement prefixes must be disjoint".into());
+        }
+        Ok(())
     }
 }
 
@@ -114,7 +112,7 @@ mod tests {
     #[test]
     fn default_plan_matches_paper_allocation() {
         let p = AddressPlan::default();
-        p.validate();
+        assert_eq!(p.validate(), Ok(()));
         assert_eq!(p.covering.to_string(), "184.164.244.0/23");
         assert_eq!(p.specific.to_string(), "184.164.244.0/24");
         // 184.164.244.10 as in §5.2.
@@ -146,22 +144,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must cover")]
     fn validate_rejects_non_covering() {
         let p = AddressPlan {
             covering: "10.0.0.0/23".parse().unwrap(),
             ..AddressPlan::default()
         };
-        p.validate();
+        let err = p.validate().unwrap_err();
+        assert!(err.contains("must cover"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "disjoint")]
     fn validate_rejects_overlapping_measurement_prefix() {
         let p = AddressPlan {
             rtt_probe: "184.164.244.0/25".parse().unwrap(),
             ..AddressPlan::default()
         };
-        p.validate();
+        let err = p.validate().unwrap_err();
+        assert!(err.contains("disjoint"), "{err}");
     }
 }

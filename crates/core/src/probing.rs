@@ -1,6 +1,5 @@
-//! The probe plane: one round of probes over a fixed target list, shared by
-//! the failover loop (`experiment`, §5.2 pings) and the unicast-DNS loop
-//! (`dns_experiment`, connection attempts).
+//! The probe plane: one round of Verfploeter-style pings (§5.2) over a
+//! fixed target list, for the failover loop (`experiment`).
 //!
 //! It owns what a round needs and nothing else does: the targets, the set of
 //! nodes that are down on the data plane, a per-target memo of the last
@@ -55,10 +54,8 @@ pub(crate) struct ProbePlane {
     /// Per target, the request leg's delay (prober → target, geographic; the
     /// request is assumed deliverable — the paper pre-selects responsive
     /// targets): a reply arrives `request leg + reply path latency` after
-    /// sending. `None` for connection attempts, whose success is observed a
-    /// round trip later — negligible against DNS time scales, so they are
-    /// stamped with the sending instant.
-    request_leg: Option<Vec<SimDuration>>,
+    /// sending.
+    request_leg: Vec<SimDuration>,
     memo: Vec<Option<Memo>>,
     folds: Vec<OutcomeFold>,
     /// Nodes that currently drop all traffic (failed CDN sites).
@@ -72,19 +69,11 @@ impl ProbePlane {
     /// Pings sent from `prober` whose replies the Internet routes back.
     pub(crate) fn pings(topo: &Topology, prober: NodeId, targets: Vec<NodeId>) -> ProbePlane {
         let from = topo.node(prober).coords;
-        let request_leg = targets
-            .iter()
-            .map(|&t| propagation_delay(from.distance_km(&topo.node(t).coords)))
-            .collect();
         ProbePlane {
-            request_leg: Some(request_leg),
-            ..ProbePlane::connections(targets)
-        }
-    }
-
-    /// Connection attempts made by the targets themselves.
-    pub(crate) fn connections(targets: Vec<NodeId>) -> ProbePlane {
-        ProbePlane {
+            request_leg: targets
+                .iter()
+                .map(|&t| propagation_delay(from.distance_km(&topo.node(t).coords)))
+                .collect(),
             memo: vec![None; targets.len()],
             folds: vec![OutcomeFold::default(); targets.len()],
             targets,
@@ -121,9 +110,9 @@ impl ProbePlane {
     }
 
     /// Sends one probe per target at `now` and folds the outcomes.
-    /// `dst_of(index, target)` names the address the probe's reply (or the
-    /// target's connection) is routed to; `None` means there is nowhere to
-    /// connect, which counts as lost.
+    /// `dst_of(index, target)` names the address the probe's reply is
+    /// routed to; `None` means there is nowhere to reply to, which counts
+    /// as lost.
     pub(crate) fn round(
         &mut self,
         topo: &Topology,
@@ -145,15 +134,9 @@ impl ProbePlane {
                     let answer = match delivery {
                         // Delivered to a non-site origin (not a CDN
                         // prefix): lost from the experiment's point of view.
-                        Delivery::Delivered { node, latency, .. } => {
-                            cdn.site_at(node).map(|site| {
-                                let delay = match &self.request_leg {
-                                    Some(leg) => leg[i] + latency,
-                                    None => SimDuration::ZERO,
-                                };
-                                (site, delay)
-                            })
-                        }
+                        Delivery::Delivered { node, latency, .. } => cdn
+                            .site_at(node)
+                            .map(|site| (site, self.request_leg[i] + latency)),
                         _ => None,
                     };
                     (answer, deps)
@@ -227,25 +210,18 @@ mod tests {
     }
 
     #[test]
-    fn ping_replies_arrive_after_a_round_trip_and_connections_at_once() {
+    fn ping_replies_arrive_after_a_round_trip() {
         let (topo, cdn, s, prefix) = world();
         let ams = cdn.by_name("ams").unwrap();
         let bos = cdn.node(cdn.by_name("bos").unwrap());
         let targets: Vec<NodeId> = topo.client_nodes().take(5).collect();
         let dst = prefix.addr_at(10);
 
-        let mut pings = ProbePlane::pings(&topo, bos, targets.clone());
+        let mut pings = ProbePlane::pings(&topo, bos, targets);
         pings.round(&topo, s.sim(), &cdn, T_FAIL, |_, _| Some(dst));
         for o in pings.outcomes(T_FAIL) {
             assert_eq!(o.final_site, Some(ams));
             assert!(o.reconnection.unwrap() > SimDuration::ZERO, "{o:?}");
-        }
-
-        let mut conns = ProbePlane::connections(targets);
-        conns.round(&topo, s.sim(), &cdn, T_FAIL, |_, _| Some(dst));
-        for o in conns.outcomes(T_FAIL) {
-            assert_eq!(o.final_site, Some(ams));
-            assert_eq!(o.reconnection, Some(SimDuration::ZERO));
         }
     }
 

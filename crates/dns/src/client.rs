@@ -14,17 +14,21 @@ use bobw_event::{RngFactory, SimDuration};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+/// Median overshoot past expiry of a TTL-violating client, in seconds
+/// (Allman '20: 890 s).
+pub const OVERSHOOT_MEDIAN_S: f64 = 890.0;
+
+/// Lognormal sigma of the violators' overshoot.
+pub const OVERSHOOT_SIGMA: f64 = 1.0;
+
 /// Parameters of the DNS failover baseline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DnsFailoverConfig {
     /// Record TTL.
     pub ttl: SimDuration,
-    /// Fraction of clients that keep using records past TTL.
+    /// Fraction of clients that keep using records past TTL, each for an
+    /// overshoot drawn from [`OVERSHOOT_MEDIAN_S`] / [`OVERSHOOT_SIGMA`].
     pub violator_fraction: f64,
-    /// Median overshoot past expiry for violators (Allman '20: 890 s).
-    pub overshoot_median_s: f64,
-    /// Lognormal sigma of the overshoot.
-    pub overshoot_sigma: f64,
     /// Latency of the re-resolution itself (recursive → authoritative).
     pub requery_latency: SimDuration,
 }
@@ -35,8 +39,6 @@ impl Default for DnsFailoverConfig {
             // Median TTL across popular domains is ~10 min (§1).
             ttl: SimDuration::from_secs(600),
             violator_fraction: 0.25,
-            overshoot_median_s: 890.0,
-            overshoot_sigma: 1.0,
             requery_latency: SimDuration::from_millis(200),
         }
     }
@@ -71,7 +73,7 @@ impl ClientPopulation {
             // Time remaining until the client's cached record expires.
             let remaining = r.gen_range(0.0..ttl_s.max(f64::MIN_POSITIVE));
             let overshoot = if r.gen_bool(cfg.violator_fraction.clamp(0.0, 1.0)) {
-                lognormal(&mut r, cfg.overshoot_median_s, cfg.overshoot_sigma)
+                lognormal(&mut r, OVERSHOOT_MEDIAN_S, OVERSHOOT_SIGMA)
             } else {
                 0.0
             };

@@ -26,5 +26,5 @@ pub mod client;
 pub mod resolver;
 
 pub use authoritative::{Authoritative, DnsAnswer};
-pub use client::{ClientPopulation, DnsFailoverConfig};
+pub use client::{ClientPopulation, DnsFailoverConfig, OVERSHOOT_MEDIAN_S, OVERSHOOT_SIGMA};
 pub use resolver::{CacheStatus, RecursiveResolver};

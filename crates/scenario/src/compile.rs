@@ -58,11 +58,13 @@ pub enum FaultOp {
     /// `node` originates `victim`'s prefixes as its own (origin hijack).
     Hijack { node: NodeId, victim: NodeId },
     /// Withdraw the node's prefixes and DNS-de-steer the site's clients,
-    /// each re-resolving within `ttl`.
+    /// each re-resolving within `ttl`; a `violators` share of them only
+    /// after a further overshoot past expiry.
     Drain {
         node: NodeId,
         site: SiteId,
         ttl: SimDuration,
+        violators: f64,
     },
     /// Data plane down with no control-plane action (the tail end of a
     /// drain: routes are already withdrawn when the machines power off).
@@ -347,6 +349,7 @@ pub fn compile(
                 site,
                 ttl_s,
                 shutdown_after_s,
+                violators,
             } => {
                 let site_id = resolve_site(i, site, measured, cdn)?;
                 let node = cdn.node(site_id);
@@ -356,6 +359,7 @@ pub fn compile(
                         node,
                         site: site_id,
                         ttl: SimDuration::from_secs_f64(*ttl_s),
+                        violators: violators.unwrap_or(0.0),
                     },
                 );
                 push(ev.at_s + *shutdown_after_s, FaultOp::SiteDark { node });
@@ -778,20 +782,17 @@ mod tests {
     fn drain_expands_to_desteer_plus_shutdown() {
         let (topo, cdn, rng) = testbed();
         let site = cdn.by_name("ams").unwrap();
-        let s = Scenario {
-            name: "drain".into(),
-            description: String::new(),
-            site: "ams".into(),
-            measure_from_s: None,
-            events: vec![ScenarioEvent {
-                at_s: 10.0,
-                action: ScenarioAction::Drain {
-                    site: "$site".into(),
-                    ttl_s: 30.0,
-                    shutdown_after_s: 60.0,
-                },
-            }],
-        };
+        // A catalog-style drain with `violators` omitted: no violators.
+        let s: Scenario = serde_json::from_str_typed(
+            r#"{
+                "name": "drain", "description": "", "site": "ams",
+                "measure_from_s": null,
+                "events": [ { "at_s": 10.0, "action": { "Drain": {
+                    "site": "$site", "ttl_s": 30.0, "shutdown_after_s": 60.0
+                } } } ]
+            }"#,
+        )
+        .unwrap();
         let c = compile(&s, &topo, &cdn, &rng, site, true).unwrap();
         assert!(c.has_drain());
         assert_eq!(c.t_fail_offset, SimDuration::from_secs(10));
@@ -802,10 +803,60 @@ mod tests {
             FaultOp::Drain {
                 node,
                 site,
-                ttl: SimDuration::from_secs(30)
+                ttl: SimDuration::from_secs(30),
+                violators: 0.0,
             }
         );
         assert_eq!(c.events[1].at, SimDuration::from_secs(70));
         assert_eq!(c.events[1].op, FaultOp::SiteDark { node });
+
+        // The built-in DNS failover: the site dies at 10 s, DNS reacts
+        // after the detection delay and the machines are already dark.
+        let dns = Scenario::dns_failover(2.0);
+        dns.validate().unwrap();
+        let c = compile(&dns, &topo, &cdn, &rng, site, true).unwrap();
+        assert_eq!(c.t_fail_offset, SimDuration::from_secs(10));
+        let at = |s: u64| SimDuration::from_secs(s);
+        assert_eq!(
+            c.events,
+            vec![
+                CompiledEvent {
+                    at: at(10),
+                    op: FaultOp::SiteFail {
+                        node,
+                        graceful: true
+                    },
+                },
+                CompiledEvent {
+                    at: at(12),
+                    op: FaultOp::Drain {
+                        node,
+                        site,
+                        ttl: SimDuration::from_secs_f64(crate::DNS_TTL_S),
+                        violators: crate::DNS_VIOLATORS,
+                    },
+                },
+                CompiledEvent {
+                    at: at(12),
+                    op: FaultOp::SiteDark { node },
+                },
+            ]
+        );
+
+        // The violator share must be a finite share.
+        for bad in [f64::NAN, -0.1, 1.5] {
+            let mut s = dns.clone();
+            let ScenarioAction::Drain { violators, .. } = &mut s.events[1].action else {
+                unreachable!("dns_failover drains second");
+            };
+            *violators = Some(bad);
+            let err = compile(&s, &topo, &cdn, &rng, site, true)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains("events[1]") && err.contains("violators"),
+                "{bad}: {err}"
+            );
+        }
     }
 }

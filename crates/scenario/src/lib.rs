@@ -23,7 +23,7 @@ mod compile;
 mod model;
 
 pub use compile::{compile, CompiledEvent, CompiledScenario, FaultOp};
-pub use model::{Scenario, ScenarioAction, ScenarioError, ScenarioEvent};
+pub use model::{Scenario, ScenarioAction, ScenarioError, ScenarioEvent, DNS_TTL_S, DNS_VIOLATORS};
 
 use std::path::{Path, PathBuf};
 

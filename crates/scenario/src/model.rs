@@ -10,6 +10,14 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Record TTL of [`Scenario::dns_failover`]: the median TTL of popular
+/// domains, ~10 minutes (Moura '19).
+pub const DNS_TTL_S: f64 = 600.0;
+
+/// Share of clients in [`Scenario::dns_failover`] that keep using an
+/// expired record (Allman '20).
+pub const DNS_VIOLATORS: f64 = 0.25;
+
 /// A named, timestamped script of injectable fault events.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
@@ -105,11 +113,14 @@ pub enum ScenarioAction {
     /// Maintenance drain: the site withdraws its announcements and the
     /// DNS authoritative steers its clients elsewhere (each re-resolves
     /// within `ttl_s`); the data plane stays up until `shutdown_after_s`
-    /// later, when the machines actually power off.
+    /// later, when the machines actually power off. `violators` is the
+    /// share of clients that keep using the expired record for a
+    /// lognormal overshoot (Allman '20); `null` (or omitted) means none.
     Drain {
         site: String,
         ttl_s: f64,
         shutdown_after_s: f64,
+        violators: Option<f64>,
     },
     /// The technique's reactive reconfiguration fires, minus its first
     /// `skip` actions (partial rollout). The legacy path is `skip: 0` at
@@ -280,10 +291,19 @@ impl Scenario {
                 ScenarioAction::Drain {
                     ttl_s,
                     shutdown_after_s,
+                    violators,
                     ..
                 } => {
                     finite_nonneg(i, "ttl_s", *ttl_s)?;
                     finite_nonneg(i, "shutdown_after_s", *shutdown_after_s)?;
+                    if let Some(v) = violators {
+                        if !(0.0..=1.0).contains(v) {
+                            return Err(ScenarioError::at(
+                                i,
+                                format!("violators must be a share in [0, 1], got {v}"),
+                            ));
+                        }
+                    }
                 }
                 ScenarioAction::React {
                     stagger_s: Some(st),
@@ -405,6 +425,43 @@ impl Scenario {
             site: "$site".into(),
             measure_from_s: Some(t_fail),
             events,
+        }
+    }
+
+    /// The built-in unicast DNS failover: the measured site dies at 10 s
+    /// and, `detection_delay_s` later, the CDN's DNS stops naming it.
+    /// Clients re-resolve as their cached record expires within
+    /// [`DNS_TTL_S`], and [`DNS_VIOLATORS`] of them keep the stale record
+    /// past expiry. Run under `Technique::Unicast`, this is the §1/§2
+    /// DNS-bound baseline the paper argues about but cannot measure.
+    pub fn dns_failover(detection_delay_s: f64) -> Scenario {
+        let t_fail = 10.0;
+        Scenario {
+            name: "dns-failover".into(),
+            description: "Pure unicast: the measured site dies and DNS steers its clients \
+                          elsewhere after the detection delay, bounded by record TTL and \
+                          TTL violators."
+                .into(),
+            site: "$site".into(),
+            measure_from_s: Some(t_fail),
+            events: vec![
+                ScenarioEvent {
+                    at_s: t_fail,
+                    action: ScenarioAction::SiteFail {
+                        site: "$site".into(),
+                        graceful: None,
+                    },
+                },
+                ScenarioEvent {
+                    at_s: t_fail + detection_delay_s,
+                    action: ScenarioAction::Drain {
+                        site: "$site".into(),
+                        ttl_s: DNS_TTL_S,
+                        shutdown_after_s: 0.0,
+                        violators: Some(DNS_VIOLATORS),
+                    },
+                },
+            ],
         }
     }
 }

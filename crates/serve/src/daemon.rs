@@ -390,6 +390,8 @@ fn serve_client(reader: &mut Conn, writer: &mut Conn, shared: &Shared) {
             } => {
                 let job = if cells.is_empty() {
                     Err("raw submission has no cells".into())
+                } else if let Err(e) = config.plan.validate() {
+                    Err(format!("bad address plan: {e}"))
                 } else {
                     Ok(ExpandedJob {
                         name,

@@ -1,7 +1,8 @@
 //! End-to-end tests for the `bobw serve` daemon: byte-identity with the
 //! local runner, client authentication, lease-based rescue of cells from
-//! a stuck worker across queued jobs, state-dir persistence, and the
-//! event-driven job path (pickup, quit and `JobDone` never wait on a timer).
+//! a stuck worker across queued jobs, state-dir persistence, rejection of
+//! a bad config at submit, and the event-driven job path (pickup, quit and
+//! `JobDone` never wait on a timer).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -469,6 +470,32 @@ fn spec_submission_expands_and_runs() {
     client.quit().expect("quit");
     handle.join();
     worker.join().unwrap();
+}
+
+/// A raw submission whose address plan is inconsistent would fail every
+/// cell on a worker; the daemon refuses it at submit, with the reason, and
+/// keeps answering.
+#[test]
+fn bad_address_plan_is_rejected_at_submit() {
+    let _guard = serial();
+    let handle = daemon::start(open_serve_config()).expect("daemon");
+    let endpoint = handle.endpoint().clone();
+    let mut client = ServeClient::connect(&endpoint, "plan-test", None).expect("client");
+    let mut cfg = test_config();
+    cfg.plan.covering = "10.0.0.0/23".parse().unwrap();
+    let cells = vec![CellSpec::Failover {
+        technique: "anycast".into(),
+        site: "bos".into(),
+    }];
+    let err = client
+        .submit_raw("bad-plan", &cfg, &cells)
+        .expect_err("a bad plan must be rejected");
+    assert!(err.contains("covering prefix must cover"), "{err}");
+    assert!(client.jobs().expect("jobs").is_empty());
+    client.status_json().expect("the daemon still answers");
+
+    client.quit().expect("quit");
+    handle.join();
 }
 
 /// A daemon whose tick is far longer than any of the tests below may
