@@ -11,8 +11,9 @@
 //! 4. **Backup de-preferencing mechanism**: prepending vs selective
 //!    prepending vs MED (§4's aside) — control and failover side by side.
 //! 5. **Failure mode**: the paper assumes the failing site withdraws its
-//!    announcements (§4); a silent crash leaves discovery to the BGP hold
-//!    timer (90 s default) unless the operator runs BFD-style detection.
+//!    announcements (§4); a silent crash (the baseline scenario, made
+//!    `crashed()`) leaves discovery to the BGP hold timer (90 s default)
+//!    unless the operator runs BFD-style detection.
 //! 6. **Route-flap damping**: a site failure *is* a flap; routers that
 //!    dampen the withdrawn prefix also suppress the valid routes
 //!    reactive-anycast injects moments later — an interaction the paper
@@ -20,12 +21,12 @@
 //!
 //! Run: `cargo run --release -p bobw-bench --bin ablation [--scale quick]`
 
-use bobw_bench::{parse_cli, run_or_exit, write_json, Dispatch};
+use bobw_bench::{parse_cli, run_failover_grid_dispatch, run_or_exit, write_json, Dispatch};
 use bobw_bgp::DampingConfig;
-use bobw_core::{FailureMode, ReactionFault, Technique, Testbed};
-use bobw_dist::{CellOutput, CellSpec};
+use bobw_core::{FailoverResult, Technique, Testbed};
 use bobw_event::SimDuration;
 use bobw_measure::Cdf;
+use bobw_scenario::ScenarioAction;
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -40,31 +41,21 @@ struct AblationRow {
 }
 
 /// Runs `technique` against each named site through the dispatcher (local
-/// threads or remote workers); results are folded in site order, so the
+/// threads or remote workers); results come back in site order, so the
 /// aggregate is independent of scheduling and dispatch mode.
 fn site_results(
     testbed: &Testbed,
     technique: &Technique,
     sites: &[&str],
     dispatch: &mut Dispatch,
-) -> Vec<bobw_core::FailoverResult> {
-    let cells: Vec<CellSpec> = sites
-        .iter()
-        .map(|s| CellSpec::Failover {
-            technique: technique.name(),
-            site: s.to_string(),
-        })
-        .collect();
-    run_or_exit(dispatch.run(testbed, &cells))
-        .into_iter()
-        .map(|o| match o {
-            CellOutput::Failover(r, _) => r,
-            CellOutput::Control(..) => {
-                eprintln!("error: control output for a failover cell");
-                std::process::exit(1);
-            }
-        })
-        .collect()
+) -> Vec<FailoverResult> {
+    let (mut grouped, _) = run_or_exit(run_failover_grid_dispatch(
+        testbed,
+        std::slice::from_ref(technique),
+        sites,
+        dispatch,
+    ));
+    grouped.pop().expect("one technique in, one group out")
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -210,13 +201,15 @@ fn main() {
     }
 
     // --- 5. Failure mode: graceful withdrawal vs silent crash. ---
-    for (label, mode, hold) in [
-        ("graceful (default)", FailureMode::GracefulWithdrawal, 90.0),
-        ("crash, hold=90s", FailureMode::SilentCrash, 90.0),
-        ("crash, BFD 0.5s", FailureMode::SilentCrash, 0.5),
+    for (label, crash, hold) in [
+        ("graceful (default)", false, 90.0),
+        ("crash, hold=90s", true, 90.0),
+        ("crash, BFD 0.5s", true, 0.5),
     ] {
         let mut cfg = cli.scale.config(cli.seed);
-        cfg.failure_mode = mode;
+        if crash {
+            cfg.scenario = Some(cfg.fault_script().crashed());
+        }
         cfg.timing.hold_time_s = hold;
         let tb = Testbed::new(cfg);
         measure(
@@ -268,15 +261,26 @@ fn main() {
 
     // --- 7. Risk made measurable: what a botched reactive-anycast
     // reconfiguration costs (Table 2's "risk" column; §4 calls the global
-    // reconfiguration "operationally treacherous"). ---
-    for (label, fault) in [
-        ("clean reaction", None),
-        ("3 sites skipped", Some(ReactionFault::SkipSites(3))),
-        ("all sites skipped", Some(ReactionFault::SkipSites(7))),
-        ("wrong prefix (typo)", Some(ReactionFault::WrongPrefix)),
+    // reconfiguration "operationally treacherous"), scripted as the
+    // baseline's `React` skipping sites or announcing the wrong prefix. ---
+    for (label, skip, wrong_prefix) in [
+        ("clean reaction", 0, None),
+        ("3 sites skipped", 3, None),
+        ("all sites skipped", 7, None),
+        ("wrong prefix (typo)", 0, Some(true)),
     ] {
         let mut cfg = cli.scale.config(cli.seed);
-        cfg.reaction_fault = fault;
+        let mut scenario = cfg.fault_script();
+        let react = scenario
+            .events
+            .last_mut()
+            .expect("the baseline ends in its reaction");
+        react.action = ScenarioAction::React {
+            skip,
+            stagger_s: None,
+            wrong_prefix,
+        };
+        cfg.scenario = Some(scenario);
         let tb = Testbed::new(cfg);
         let mut never = 0usize;
         let mut total = 0usize;

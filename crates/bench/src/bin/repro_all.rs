@@ -10,8 +10,9 @@ use bobw_bench::appendix::{
     announcement_propagation_instrumented, withdrawal_convergence_instrumented,
 };
 use bobw_bench::{
-    compute_appc1, compute_table1_dispatch, parse_cli, run_cells, run_failover_grid_dispatch,
-    run_or_exit, unicast_dns_insim, write_json, PerfLog, Scale, TechniqueSeries,
+    compute_appc1, compute_table1_dispatch, grid_sites, parse_cli, run_cells,
+    run_failover_grid_dispatch, run_or_exit, unicast_dns_insim, write_json, PerfLog, Scale,
+    TechniqueSeries,
 };
 use bobw_core::{derive_tradeoffs, MeasuredTechnique, Technique, Testbed};
 use bobw_dns::{ClientPopulation, DnsFailoverConfig};
@@ -45,6 +46,7 @@ fn main() {
     let (grouped, p) = run_or_exit(run_failover_grid_dispatch(
         &testbed,
         &techniques,
+        &grid_sites(&testbed),
         &mut dispatch,
     ));
     perf.merge(p);
@@ -94,6 +96,7 @@ fn main() {
     let (grouped, p) = run_or_exit(run_failover_grid_dispatch(
         &testbed,
         &fig5_techniques,
+        &grid_sites(&testbed),
         &mut dispatch,
     ));
     perf.merge(p);

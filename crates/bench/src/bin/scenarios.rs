@@ -16,9 +16,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use bobw_bench::{parse_cli, run_or_exit, write_json, PerfLog, TechniqueSeries};
-use bobw_core::{FailoverResult, SessionModel, Technique, Testbed};
-use bobw_dist::{CellOutput, CellSpec};
+use bobw_bench::{
+    grid_sites, parse_cli, run_failover_grid_dispatch, run_or_exit, write_json, PerfLog,
+    TechniqueSeries,
+};
+use bobw_core::{SessionModel, Technique, Testbed};
 use bobw_measure::{cdf_row, percent};
 use bobw_scenario::{catalog_files, load_file};
 use serde::Serialize;
@@ -106,45 +108,16 @@ fn main() {
             label,
             cli.jobs
         );
-        let mut cfg = cli.scale.config(cli.seed);
+        let mut cfg = cli.scale.config(cli.seed).with_scenario(scenario.clone());
         cfg.session_model = *session_model;
-        // Catalog convention: `damping-*` scenarios study the interaction
-        // with route-flap damping, so it comes on for them.
-        if scenario.wants_damping() && cfg.timing.flap_damping.is_none() {
-            cfg.timing.flap_damping = Some(bobw_bgp::DampingConfig::default());
-        }
-        cfg.scenario = Some(scenario.clone());
         let tb = Testbed::new(cfg);
-        // "$site" fans the scenario over every site, like the paper grid;
-        // a concrete site name pins it (e.g. a regional partition around
-        // one deployment).
-        let sites: Vec<String> = if scenario.site == "$site" {
-            tb.cdn.sites().map(|s| tb.cdn.name(s).to_string()).collect()
-        } else {
-            vec![scenario.site.clone()]
-        };
-        let cells: Vec<CellSpec> = techniques
-            .iter()
-            .flat_map(|t| {
-                sites.iter().map(move |s| CellSpec::Failover {
-                    technique: t.name(),
-                    site: s.clone(),
-                })
-            })
-            .collect();
-        let started = std::time::Instant::now();
-        let outputs = run_or_exit(dispatch.run(&tb, &cells));
-        perf.elapsed_micros += started.elapsed().as_micros() as u64;
-        let mut grouped: Vec<Vec<FailoverResult>> = techniques.iter().map(|_| Vec::new()).collect();
-        for (i, out) in outputs.into_iter().enumerate() {
-            let ti = i / sites.len().max(1);
-            let CellOutput::Failover(result, p) = out else {
-                run_or_exit::<()>(Err(format!("cell {i}: control output for a failover cell")));
-                unreachable!();
-            };
-            perf.push(techniques[ti].name(), p);
-            grouped[ti].push(result);
-        }
+        let (grouped, p) = run_or_exit(run_failover_grid_dispatch(
+            &tb,
+            &techniques,
+            &grid_sites(&tb),
+            &mut dispatch,
+        ));
+        perf.merge(p);
         let series: Vec<TechniqueSeries> = techniques
             .iter()
             .zip(&grouped)

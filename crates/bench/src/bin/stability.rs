@@ -7,7 +7,9 @@
 //!
 //! Run: `cargo run --release -p bobw-bench --bin stability [--scale quick]`
 
-use bobw_bench::{parse_cli, run_failover_grid_dispatch, run_or_exit, write_json, TechniqueSeries};
+use bobw_bench::{
+    grid_sites, parse_cli, run_failover_grid_dispatch, run_or_exit, write_json, TechniqueSeries,
+};
 use bobw_core::{Technique, Testbed};
 use bobw_measure::Cdf;
 use serde::Serialize;
@@ -41,6 +43,7 @@ fn main() {
         let (grouped, _) = run_or_exit(run_failover_grid_dispatch(
             &testbed,
             &techniques,
+            &grid_sites(&testbed),
             &mut dispatch,
         ));
         for (t, results) in techniques.iter().zip(&grouped) {

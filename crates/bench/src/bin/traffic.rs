@@ -20,9 +20,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use bobw_bench::{parse_cli, run_or_exit, write_json, PerfLog, WeightedTechniqueSeries};
-use bobw_core::{FailoverResult, Technique, Testbed, TrafficConfig};
-use bobw_dist::{CellOutput, CellSpec};
+use bobw_bench::{
+    grid_sites, parse_cli, run_failover_grid_dispatch, run_or_exit, write_json, PerfLog,
+    WeightedTechniqueSeries,
+};
+use bobw_core::{Technique, Testbed, TrafficConfig};
 use bobw_measure::percent;
 use bobw_scenario::load_file;
 use serde::Serialize;
@@ -120,37 +122,16 @@ fn main() {
             scenario.name,
             cli.jobs
         );
-        let mut cfg = cli.scale.config(cli.seed);
-        cfg.scenario = Some(scenario.clone());
+        let mut cfg = cli.scale.config(cli.seed).with_scenario(scenario.clone());
         cfg.traffic = Some(TrafficConfig::default());
         let tb = Testbed::new(cfg);
-        let sites: Vec<String> = if scenario.site == "$site" {
-            tb.cdn.sites().map(|s| tb.cdn.name(s).to_string()).collect()
-        } else {
-            vec![scenario.site.clone()]
-        };
-        let cells: Vec<CellSpec> = techniques
-            .iter()
-            .flat_map(|t| {
-                sites.iter().map(move |s| CellSpec::Failover {
-                    technique: t.name(),
-                    site: s.clone(),
-                })
-            })
-            .collect();
-        let started = std::time::Instant::now();
-        let outputs = run_or_exit(dispatch.run(&tb, &cells));
-        perf.elapsed_micros += started.elapsed().as_micros() as u64;
-        let mut grouped: Vec<Vec<FailoverResult>> = techniques.iter().map(|_| Vec::new()).collect();
-        for (i, out) in outputs.into_iter().enumerate() {
-            let ti = i / sites.len().max(1);
-            let CellOutput::Failover(result, p) = out else {
-                run_or_exit::<()>(Err(format!("cell {i}: control output for a failover cell")));
-                unreachable!();
-            };
-            perf.push(techniques[ti].name(), p);
-            grouped[ti].push(result);
-        }
+        let (grouped, p) = run_or_exit(run_failover_grid_dispatch(
+            &tb,
+            &techniques,
+            &grid_sites(&tb),
+            &mut dispatch,
+        ));
+        perf.merge(p);
         let series: Vec<WeightedTechniqueSeries> = techniques
             .iter()
             .zip(&grouped)

@@ -33,43 +33,11 @@ use serde::Serialize;
 pub mod appendix;
 pub mod runner;
 
+pub use bobw_serve::Scale;
 pub use runner::{
-    default_jobs, run_cells, run_failover_grid_dispatch, run_or_exit, CellRecord, Dispatch, PerfLog,
+    default_jobs, grid_sites, run_cells, run_failover_grid_dispatch, run_or_exit, CellRecord,
+    Dispatch, PerfLog,
 };
-
-/// Experiment scale selected on the command line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Small topology, shortened probing — minutes of wall time.
-    Quick,
-    /// The paper-reproduction scale (default).
-    Eval,
-    /// Double-size robustness check.
-    Large,
-}
-
-impl Scale {
-    /// The scale's command-line name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scale::Quick => "quick",
-            Scale::Eval => "eval",
-            Scale::Large => "large",
-        }
-    }
-
-    pub fn config(self, seed: u64) -> ExperimentConfig {
-        match self {
-            Scale::Quick => ExperimentConfig::quick(seed),
-            Scale::Eval => ExperimentConfig::eval(seed),
-            Scale::Large => {
-                let mut cfg = ExperimentConfig::eval(seed);
-                cfg.gen = bobw_topology::GenConfig::large();
-                cfg
-            }
-        }
-    }
-}
 
 /// Parsed common CLI options.
 #[derive(Debug, Clone)]
@@ -140,16 +108,10 @@ pub fn parse_cli() -> Cli {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
-                let v = args.next().unwrap_or_default();
-                cli.scale = match v.as_str() {
-                    "quick" => Scale::Quick,
-                    "eval" => Scale::Eval,
-                    "large" => Scale::Large,
-                    other => {
-                        eprintln!("unknown scale {other:?} (quick|eval|large)");
-                        std::process::exit(2);
-                    }
-                };
+                cli.scale = Scale::parse(&args.next().unwrap_or_default()).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                });
             }
             "--seed" => {
                 cli.seed = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
@@ -218,19 +180,6 @@ pub fn write_json<T: Serialize>(cli: &Cli, name: &str, value: &T) {
         }
         Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
     }
-}
-
-/// Runs one technique across every site of the testbed over `dispatch`,
-/// returning per-site results in site order (identical for any worker
-/// count or dispatch mode) plus the perf log.
-pub fn run_technique_all_sites_dispatch(
-    testbed: &Testbed,
-    technique: &Technique,
-    dispatch: &mut Dispatch,
-) -> Result<(Vec<FailoverResult>, PerfLog), String> {
-    let (mut grouped, log) =
-        run_failover_grid_dispatch(testbed, std::slice::from_ref(technique), dispatch)?;
-    Ok((grouped.pop().expect("one technique in, one group out"), log))
 }
 
 /// The in-simulation unicast DNS failover row of `unicast_dns` and
@@ -461,10 +410,16 @@ mod tests {
     use super::*;
     use bobw_core::run_failover;
 
+    /// One technique across every site over `dispatch`, in site order.
+    fn all_sites_over(tb: &Testbed, t: &Technique, dispatch: &mut Dispatch) -> Vec<FailoverResult> {
+        let (mut grouped, _) =
+            run_failover_grid_dispatch(tb, std::slice::from_ref(t), &grid_sites(tb), dispatch)
+                .expect("well-formed cells run");
+        grouped.pop().expect("one technique in, one group out")
+    }
+
     fn run_technique_all_sites(tb: &Testbed, t: &Technique, jobs: usize) -> Vec<FailoverResult> {
-        run_technique_all_sites_dispatch(tb, t, &mut Dispatch::local(jobs))
-            .expect("local dispatch cannot fail on well-formed cells")
-            .0
+        all_sites_over(tb, t, &mut Dispatch::local(jobs))
     }
 
     #[test]
@@ -546,7 +501,7 @@ mod tests {
             wc.name = "loopback".to_string();
             bobw_dist::run_worker(&wc).expect("worker")
         });
-        let (dist, _log) = run_technique_all_sites_dispatch(&tb, &t, &mut dispatch).unwrap();
+        let dist = all_sites_over(&tb, &t, &mut dispatch);
         dispatch.finish();
         let done = worker.join().unwrap();
         assert!(done >= 1, "the worker must have executed cells");
@@ -578,11 +533,12 @@ mod tests {
         });
 
         let mut dispatch = Dispatch::daemon(&handle.endpoint().to_string()).unwrap();
-        let (dist, log) = run_technique_all_sites_dispatch(&tb, &t, &mut dispatch).unwrap();
+        let (dist, log) =
+            run_failover_grid_dispatch(&tb, &[t], &grid_sites(&tb), &mut dispatch).unwrap();
         dispatch.finish();
         assert_eq!(
             serial_json,
-            serde_json::to_string(&dist).unwrap(),
+            serde_json::to_string(&dist[0]).unwrap(),
             "daemon-submitted cells must serialize identically to local ones"
         );
         assert_eq!(log.cells.len(), tb.cdn.num_sites());

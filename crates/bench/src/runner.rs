@@ -346,10 +346,11 @@ impl PerfLog {
     }
 }
 
-/// Runs every ⟨technique, failed site⟩ cell of the cross product through
-/// one shared work queue, returning per-technique result vectors in site
-/// order (exactly what a nested sequential loop would build) plus the
-/// perf log of the whole grid.
+/// Runs every ⟨technique, failed site⟩ cell of the cross product of
+/// `techniques` and `sites` through one shared work queue, returning
+/// per-technique result vectors in `sites` order (exactly what a nested
+/// sequential loop would build) plus the perf log of the whole grid.
+/// `sites` is usually [`grid_sites`].
 ///
 /// Pooling all techniques into a single queue keeps the workers busy
 /// across technique boundaries: a slow technique's last sites overlap with
@@ -360,15 +361,15 @@ impl PerfLog {
 pub fn run_failover_grid_dispatch(
     testbed: &Testbed,
     techniques: &[Technique],
+    sites: &[&str],
     dispatch: &mut Dispatch,
 ) -> Result<(Vec<Vec<FailoverResult>>, PerfLog), String> {
-    let sites: Vec<_> = testbed.cdn.sites().collect();
     let cells: Vec<CellSpec> = techniques
         .iter()
         .flat_map(|t| {
             sites.iter().map(move |s| CellSpec::Failover {
                 technique: t.name(),
-                site: testbed.cdn.name(*s).to_string(),
+                site: s.to_string(),
             })
         })
         .collect();
@@ -389,6 +390,15 @@ pub fn run_failover_grid_dispatch(
         grouped[ti].push(result);
     }
     Ok((grouped, log))
+}
+
+/// The sites a grid on `testbed` fails: the one its scenario pins, else
+/// every site in deployment order (the paper grid, a `"$site"` scenario).
+pub fn grid_sites(testbed: &Testbed) -> Vec<&str> {
+    match &testbed.cfg.scenario {
+        Some(s) if s.site != "$site" => vec![s.site.as_str()],
+        _ => testbed.cdn.sites().map(|s| testbed.cdn.name(s)).collect(),
+    }
 }
 
 #[cfg(test)]
@@ -427,10 +437,11 @@ mod tests {
         cfg.probe.duration = bobw_event::SimDuration::from_secs(45);
         let tb = Testbed::new(cfg);
         let techniques = [Technique::Anycast, Technique::ReactiveAnycast];
+        let sites = grid_sites(&tb);
         let (par, log) =
-            run_failover_grid_dispatch(&tb, &techniques, &mut Dispatch::local(4)).unwrap();
+            run_failover_grid_dispatch(&tb, &techniques, &sites, &mut Dispatch::local(4)).unwrap();
         let (seq, _) =
-            run_failover_grid_dispatch(&tb, &techniques, &mut Dispatch::local(1)).unwrap();
+            run_failover_grid_dispatch(&tb, &techniques, &sites, &mut Dispatch::local(1)).unwrap();
         assert_eq!(par.len(), 2);
         for (p, s) in par.iter().zip(&seq) {
             assert_eq!(p.len(), tb.cdn.num_sites());

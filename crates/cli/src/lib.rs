@@ -8,14 +8,15 @@ use std::collections::BTreeMap;
 
 use bobw_bgp::{dump_rib, BgpTimingConfig, OriginConfig, Standalone};
 use bobw_core::{
-    measure_control, run_failover, ExperimentConfig, FailureMode, SessionModel, Technique, Testbed,
-    TrafficConfig, TrafficSummary,
+    measure_control, run_failover, ExperimentConfig, FailoverResult, Technique, Testbed,
+    TrafficSummary,
 };
 use bobw_dataplane::{walk_with_path, ForwardEnv};
 use bobw_event::SimDuration;
 use bobw_measure::{percent, Cdf};
 use bobw_net::{NodeId, Prefix};
-use bobw_topology::{GenConfig, SiteId};
+use bobw_scenario::ScenarioAction;
+use bobw_topology::SiteId;
 
 /// Parsed `--key value` options plus positional arguments.
 #[derive(Debug, Default, Clone)]
@@ -63,47 +64,31 @@ impl Options {
         }
     }
 
-    pub fn scale_config(&self) -> Result<ExperimentConfig, String> {
-        let seed = self.seed()?;
-        let mut cfg = match self.get("scale").unwrap_or("quick") {
-            "quick" => ExperimentConfig::quick(seed),
-            "eval" => ExperimentConfig::eval(seed),
-            "large" => {
-                let mut c = ExperimentConfig::eval(seed);
-                c.gen = GenConfig::large();
-                c
-            }
-            other => return Err(format!("unknown --scale {other:?} (quick|eval|large)")),
+    /// The experiment config of the run flags: `--scale`, `--seed`,
+    /// `--failure`, `--traffic` and `--session` go through the builder
+    /// `bobw submit` uses, with `scenario` (a file, or a name in
+    /// `--catalog`); then `--hold` sets the BGP hold timer.
+    pub fn config(&self, scenario: Option<&str>) -> Result<ExperimentConfig, String> {
+        let flag = |key: &str| self.get(key).map(str::to_string);
+        let spec = bobw_serve::JobSpec {
+            scale: flag("scale"),
+            seed: Some(self.seed()?),
+            failure: flag("failure"),
+            traffic: flag("traffic"),
+            session: flag("session"),
+            scenario: scenario.map(str::to_string),
+            ..Default::default()
         };
-        if let Some(mode) = self.get("failure") {
-            cfg.failure_mode = match mode {
-                "graceful" => FailureMode::GracefulWithdrawal,
-                "crash" => FailureMode::SilentCrash,
-                other => return Err(format!("unknown --failure {other:?} (graceful|crash)")),
-            };
-        }
+        let catalog = self.get("catalog").unwrap_or(bobw_scenario::CATALOG_DIR);
+        let mut cfg = bobw_serve::build_config(&spec, std::path::Path::new(catalog))?;
         if let Some(h) = self.get("hold") {
             cfg.timing.hold_time_s = h.parse().map_err(|_| format!("bad --hold {h:?}"))?;
-        }
-        match self.get("traffic") {
-            None | Some("off") => {}
-            Some("on") => cfg.traffic = Some(TrafficConfig::default()),
-            Some(other) => return Err(format!("unknown --traffic {other:?} (on|off)")),
-        }
-        match self.get("session") {
-            None | Some("abstract") => {}
-            Some("message-level") => cfg.session_model = SessionModel::MessageLevel,
-            Some(other) => {
-                return Err(format!(
-                    "unknown --session {other:?} (abstract|message-level)"
-                ))
-            }
         }
         Ok(cfg)
     }
 
     pub fn technique(&self) -> Result<Technique, String> {
-        parse_technique(self.get("technique").unwrap_or("reactive-anycast"))
+        Technique::parse(self.get("technique").unwrap_or("reactive-anycast"))
     }
 
     /// Worker threads for multi-site drills; defaults to the machine's
@@ -118,13 +103,6 @@ impl Options {
                 .ok_or_else(|| format!("bad --jobs {v:?} (integer >= 1)")),
         }
     }
-}
-
-/// Parses a technique name as used in the paper's tables. The logic lives
-/// in [`Technique::parse`] (the wire protocol needs it without a CLI
-/// dependency); this alias keeps the CLI's historical API.
-pub fn parse_technique(name: &str) -> Result<Technique, String> {
-    Technique::parse(name)
 }
 
 pub const USAGE: &str = "\
@@ -149,14 +127,21 @@ USAGE:
   bobw traceroute --from N --prefix P [--scale S] [--seed N]
   bobw scenario   list     [--catalog DIR]
   bobw scenario   validate [FILE ...|--catalog DIR] [--scale S] [--seed N]
-  bobw scenario   run      FILE [--technique T] [--site NAME] [--scale S]
+  bobw scenario   run      FILE|NAME [--technique T] [--site NAME] [--scale S]
                   [--seed N] [--failure graceful|crash] [--traffic on|off]
-                  [--session abstract|message-level]
+                  [--session abstract|message-level] [--catalog DIR]
   bobw help
 
 Techniques: unicast, anycast, proactive-superprefix, reactive-anycast,
 proactive-prepending-<k>[-selective], proactive-med-<m>, combined.
 Sites: ams ath bos atl sea1 slc sea2 msn.
+
+`--scale`, `--seed`, `--failure`, `--traffic`, `--session` and the
+scenario mean what the same fields of a `bobw submit` job spec mean.
+Sites fail by graceful withdrawal; `--failure crash` makes every site
+failure the scenario (or the built-in baseline) leaves unspecified a
+silent crash, discovered by BGP hold timers. A `damping-*` scenario runs
+with route-flap damping on.
 
 `failover --site all --dispatch tcp://…` serves the per-site cells to
 remote `bobw worker` processes instead of local threads; results are
@@ -197,7 +182,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_topology(opts: &Options) -> Result<String, String> {
-    let cfg = opts.scale_config()?;
+    let cfg = opts.config(None)?;
     let tb = Testbed::new(cfg);
     if opts.get("json").is_some() {
         return serde_json::to_string_pretty(&tb.topo).map_err(|e| e.to_string());
@@ -254,8 +239,21 @@ fn traffic_line(t: Option<&TrafficSummary>) -> String {
     }
 }
 
+/// How the measured site fails, as the drill header names it: a silent
+/// crash when the fault script crashes it, else graceful withdrawal.
+fn failure_label(cfg: &ExperimentConfig) -> &'static str {
+    let crash = ScenarioAction::SiteFail {
+        site: "$site".into(),
+        graceful: Some(false),
+    };
+    match &cfg.scenario {
+        Some(s) if s.events.iter().any(|e| e.action == crash) => "SilentCrash",
+        _ => "GracefulWithdrawal",
+    }
+}
+
 fn cmd_failover(opts: &Options) -> Result<String, String> {
-    let cfg = opts.scale_config()?;
+    let cfg = opts.config(None)?;
     let tb = Testbed::new(cfg);
     let technique = opts.technique()?;
     let site_name = opts.get("site").unwrap_or("bos");
@@ -267,21 +265,29 @@ fn cmd_failover(opts: &Options) -> Result<String, String> {
         .by_name(site_name)
         .ok_or_else(|| format!("unknown site {site_name:?}"))?;
     let (r, _) = run_failover(&tb, &technique, site)?;
-    let recon = Cdf::new(r.reconnection_secs());
-    let fail = Cdf::new(r.failover_secs());
     Ok(format!(
-        "failover drill: technique={} site={} ({:?})\n\
-         targets: {} candidates, {} selected, {} controllable ({} control)\n\
-         reconnection: p50 {:.1}s  p90 {:.1}s  max {:.1}s\n\
-         failover:     p50 {:.1}s  p90 {:.1}s  max {:.1}s\n\
-         never reconnected: {}\n{}",
+        "failover drill: technique={} site={} ({})\n\
+         targets: {} candidates, {} selected, {} controllable ({} control)\n{}",
         r.technique,
         r.site_name,
-        tb.cfg.failure_mode,
+        failure_label(&tb.cfg),
         r.num_candidates,
         r.num_selected,
         r.num_controllable,
         percent(r.control_fraction()),
+        outcome_lines(&r),
+    ))
+}
+
+/// The reconnection, failover and never-reconnected lines of a one-site
+/// drill report, then its traffic line.
+fn outcome_lines(r: &FailoverResult) -> String {
+    let recon = Cdf::new(r.reconnection_secs());
+    let fail = Cdf::new(r.failover_secs());
+    format!(
+        "reconnection: p50 {:.1}s  p90 {:.1}s  max {:.1}s\n\
+         failover:     p50 {:.1}s  p90 {:.1}s  max {:.1}s\n\
+         never reconnected: {}\n{}",
         recon.median().unwrap_or(f64::NAN),
         recon.quantile(0.9).unwrap_or(f64::NAN),
         recon.max().unwrap_or(f64::NAN),
@@ -290,7 +296,7 @@ fn cmd_failover(opts: &Options) -> Result<String, String> {
         fail.max().unwrap_or(f64::NAN),
         percent(r.never_reconnected_fraction()),
         traffic_line(r.traffic.as_ref()),
-    ))
+    )
 }
 
 /// `failover --site all`: the drill against every site, fanned over
@@ -312,7 +318,14 @@ fn cmd_failover_all(opts: &Options, tb: &Testbed, technique: &Technique) -> Resu
             d
         }
     };
-    let (results, _) = bobw_bench::run_technique_all_sites_dispatch(tb, technique, &mut dispatch)?;
+    let sites = bobw_bench::grid_sites(tb);
+    let (mut grouped, _) = bobw_bench::run_failover_grid_dispatch(
+        tb,
+        std::slice::from_ref(technique),
+        &sites,
+        &mut dispatch,
+    )?;
+    let results = grouped.pop().expect("one technique in, one group out");
     let label = match (dispatch.endpoint(), opts.get("dispatch")) {
         (Some(ep), _) => format!("dispatch {ep}"),
         (None, Some(arg)) if arg.starts_with("daemon:") => format!("dispatch {arg}"),
@@ -320,9 +333,9 @@ fn cmd_failover_all(opts: &Options, tb: &Testbed, technique: &Technique) -> Resu
     };
     dispatch.finish();
     let mut out = format!(
-        "failover drill: technique={} site=all ({:?}, {label})\n",
+        "failover drill: technique={} site=all ({}, {label})\n",
         technique.name(),
-        tb.cfg.failure_mode,
+        failure_label(&tb.cfg),
     );
     let with_traffic = results.iter().any(|r| r.traffic.is_some());
     out.push_str(&format!(
@@ -595,9 +608,7 @@ fn cmd_scenario(opts: &Options) -> Result<String, String> {
             if files.is_empty() {
                 return Err("no scenario files to validate".into());
             }
-            let cfg = opts.scale_config()?;
-            let graceful = matches!(cfg.failure_mode, FailureMode::GracefulWithdrawal);
-            let tb = Testbed::new(cfg);
+            let tb = Testbed::new(opts.config(None)?);
             let mut out = String::new();
             for path in &files {
                 let s = bobw_scenario::load_file(path)
@@ -614,11 +625,9 @@ fn cmd_scenario(opts: &Options) -> Result<String, String> {
                 };
                 let mut ops = 0;
                 for site in measured {
-                    let compiled =
-                        bobw_scenario::compile(&s, &tb.topo, &tb.cdn, &tb.rng, site, graceful)
-                            .map_err(|e| {
-                                format!("{}: site {}: {e}", path.display(), tb.cdn.name(site))
-                            })?;
+                    let compiled = s.compile(&tb.topo, &tb.cdn, &tb.rng, site).map_err(|e| {
+                        format!("{}: site {}: {e}", path.display(), tb.cdn.name(site))
+                    })?;
                     ops = compiled.events.len();
                 }
                 out.push_str(&format!(
@@ -635,15 +644,8 @@ fn cmd_scenario(opts: &Options) -> Result<String, String> {
             let [file] = rest else {
                 return Err("scenario run expects exactly one FILE".into());
             };
-            let scenario = bobw_scenario::load_file(&std::path::PathBuf::from(file))?;
-            let mut cfg = opts.scale_config()?;
-            // Catalog convention: `damping-*` scenarios study the
-            // interaction with route-flap damping, so it comes on.
-            if scenario.wants_damping() && cfg.timing.flap_damping.is_none() {
-                cfg.timing.flap_damping = Some(bobw_bgp::DampingConfig::default());
-            }
-            cfg.scenario = Some(scenario.clone());
-            let tb = Testbed::new(cfg);
+            let tb = Testbed::new(opts.config(Some(file))?);
+            let scenario = tb.cfg.scenario.as_ref().expect("the run names a scenario");
             let technique = opts.technique()?;
             let site_name = match opts.get("site") {
                 Some(n) => n.to_string(),
@@ -655,15 +657,10 @@ fn cmd_scenario(opts: &Options) -> Result<String, String> {
                 .by_name(&site_name)
                 .ok_or_else(|| format!("unknown site {site_name:?}"))?;
             let (r, _) = run_failover(&tb, &technique, site)?;
-            let recon = Cdf::new(r.reconnection_secs());
-            let fail = Cdf::new(r.failover_secs());
             Ok(format!(
                 "scenario {}: {}\n\
                  technique={} site={} scale={}\n\
-                 targets: {} selected, {} controllable\n\
-                 reconnection: p50 {:.1}s  p90 {:.1}s  max {:.1}s\n\
-                 failover:     p50 {:.1}s  p90 {:.1}s  max {:.1}s\n\
-                 never reconnected: {}\n{}",
+                 targets: {} selected, {} controllable\n{}",
                 scenario.name,
                 scenario.description,
                 r.technique,
@@ -671,14 +668,7 @@ fn cmd_scenario(opts: &Options) -> Result<String, String> {
                 opts.get("scale").unwrap_or("quick"),
                 r.num_selected,
                 r.num_controllable,
-                recon.median().unwrap_or(f64::NAN),
-                recon.quantile(0.9).unwrap_or(f64::NAN),
-                recon.max().unwrap_or(f64::NAN),
-                fail.median().unwrap_or(f64::NAN),
-                fail.quantile(0.9).unwrap_or(f64::NAN),
-                fail.max().unwrap_or(f64::NAN),
-                percent(r.never_reconnected_fraction()),
-                traffic_line(r.traffic.as_ref()),
+                outcome_lines(&r),
             ))
         }
         other => Err(format!(
@@ -688,17 +678,14 @@ fn cmd_scenario(opts: &Options) -> Result<String, String> {
 }
 
 fn cmd_catchment(opts: &Options) -> Result<String, String> {
-    let cfg = opts.scale_config()?;
+    let cfg = opts.config(None)?;
     let tb = Testbed::new(cfg);
     let mut out = String::new();
     match opts.get("prepend") {
         None => {
             // Pure anycast catchment sizes.
             out.push_str("anycast catchment (clients per site):\n");
-            let r = measure_control(&tb, SiteId(0), &[]);
-            let _ = r; // anycast row computed below per site
-                       // One converged anycast run, counted via control measurement of
-                       // each site's not-routed fraction is awkward; do it directly.
+            // One converged anycast run, counted client by client.
             let rng = &tb.rng;
             let mut sim = Standalone::with_queue_capacity(
                 &tb.topo,
@@ -739,7 +726,7 @@ fn cmd_catchment(opts: &Options) -> Result<String, String> {
                 "proactive-prepending control per site (backups prepend {k}):\n"
             ));
             for site in tb.cdn.sites() {
-                let r = measure_control(&tb, site, &[k]);
+                let (r, _) = measure_control(&tb, site, &[k]);
                 out.push_str(&format!(
                     "  {:<5} not-anycast-routed {:>4}, steered {:>4}\n",
                     r.site_name,
@@ -754,7 +741,7 @@ fn cmd_catchment(opts: &Options) -> Result<String, String> {
 
 /// Builds a converged anycast world for inspect/traceroute.
 fn converged_world(opts: &Options) -> Result<(Testbed, Standalone), String> {
-    let cfg = opts.scale_config()?;
+    let cfg = opts.config(None)?;
     let tb = Testbed::new(cfg);
     let mut sim = Standalone::with_queue_capacity(
         &tb.topo,
@@ -880,11 +867,11 @@ mod tests {
             "proactive-noexport-3",
             "combined",
         ] {
-            let t = parse_technique(name).unwrap();
+            let t = Technique::parse(name).unwrap();
             assert_eq!(t.name(), name, "round trip failed for {name}");
         }
-        assert!(parse_technique("bogus").is_err());
-        assert!(parse_technique("proactive-prepending-x").is_err());
+        assert!(Technique::parse("bogus").is_err());
+        assert!(Technique::parse("proactive-prepending-x").is_err());
     }
 
     #[test]
@@ -1030,7 +1017,44 @@ mod tests {
             "sideways",
         ]))
         .unwrap_err();
-        assert!(err.contains("--traffic"), "{err}");
+        assert!(err.contains("unknown traffic \"sideways\""), "{err}");
+    }
+
+    /// The flags and `bobw submit`'s job spec are one vocabulary with one
+    /// builder: the same request gives the same config, down to the
+    /// damping a `damping-*` scenario turns on.
+    #[test]
+    fn flags_and_job_spec_build_the_same_config() {
+        let catalog = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+        let flags = s(&[
+            "--scale",
+            "quick",
+            "--seed",
+            "9",
+            "--failure",
+            "crash",
+            "--traffic",
+            "on",
+            "--session",
+            "message-level",
+            "--catalog",
+            catalog,
+        ]);
+        let cli = parse_options(&flags)
+            .unwrap()
+            .config(Some("damping-session-reset"))
+            .unwrap();
+        let spec = r#"{"techniques": ["anycast"], "scale": "quick", "seed": 9,
+                       "failure": "crash", "traffic": "on", "session": "message-level",
+                       "scenario": "damping-session-reset"}"#;
+        let served = bobw_serve::expand_spec(spec, std::path::Path::new(catalog))
+            .unwrap()
+            .config;
+        assert_eq!(
+            serde_json::to_string(&cli).unwrap(),
+            serde_json::to_string(&served).unwrap()
+        );
+        assert!(served.timing.flap_damping.is_some());
     }
 
     #[test]

@@ -31,16 +31,12 @@ pub struct ControlResult {
     pub steered: Vec<(u8, f64)>,
 }
 
-/// Measures Table 1 for one site across the given prepend counts.
-pub fn measure_control(testbed: &Testbed, site: SiteId, prepend_counts: &[u8]) -> ControlResult {
-    measure_control_instrumented(testbed, site, prepend_counts).0
-}
-
-/// [`measure_control`] plus the cell's perf counters (event count, peak
-/// queue depth, wall time) — the control-cell analogue of
-/// [`run_failover`](crate::run_failover)'s counters, so Table 1 cells show
-/// up in `PerfLog` and can be dispatched to distributed workers.
-pub fn measure_control_instrumented(
+/// Measures Table 1 for one site across the given prepend counts, with
+/// the cell's perf counters (event count, peak queue depth, wall time) —
+/// the control-cell analogue of [`run_failover`](crate::run_failover), so
+/// Table 1 cells show up in `PerfLog` and can be dispatched to
+/// distributed workers.
+pub fn measure_control(
     testbed: &Testbed,
     site: SiteId,
     prepend_counts: &[u8],
@@ -148,8 +144,8 @@ mod tests {
     #[test]
     fn table1_shape_for_key_sites() {
         let tb = Testbed::new(ExperimentConfig::quick(7));
-        let ams = measure_control(&tb, tb.site("ams"), &[3, 5]);
-        let atl = measure_control(&tb, tb.site("atl"), &[3, 5]);
+        let (ams, _) = measure_control(&tb, tb.site("ams"), &[3, 5]);
+        let (atl, _) = measure_control(&tb, tb.site("atl"), &[3, 5]);
         assert!(ams.num_near > 0 && atl.num_near > 0);
         // ams (well connected: providers + many peers) attracts more of its
         // nearby clients via anycast than atl (one transit + one R&E), the

@@ -22,7 +22,7 @@ use bobw_dns::{Authoritative, OVERSHOOT_MEDIAN_S, OVERSHOOT_SIGMA};
 use bobw_event::rng::lognormal;
 use bobw_event::{Engine, Handler, RngFactory, Scheduler, SimDuration, SimTime};
 use bobw_net::NodeId;
-use bobw_scenario::{compile as compile_scenario, FaultOp, Scenario};
+use bobw_scenario::{FaultOp, Scenario};
 use bobw_topology::{generate, CdnDeployment, GenConfig, SiteId, Topology};
 use bobw_traffic::{Steering, Surge, TrafficConfig, TrafficSim, TrafficSummary};
 use rand::Rng;
@@ -34,33 +34,6 @@ use crate::plan::AddressPlan;
 use crate::probing::{ProbeCounts, ProbePlane};
 use crate::targets::select_targets_counted;
 use crate::technique::{Action, Technique};
-
-/// A botched reactive reconfiguration (see `ExperimentConfig::reaction_fault`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReactionFault {
-    /// The first `n` backup sites never get the new configuration (partial
-    /// rollout / automation failure).
-    SkipSites(usize),
-    /// Every backup site announces the *covering* prefix instead of the
-    /// failed site's specific one — a one-line config typo. Longest-prefix
-    /// match makes the mistake silent at the announcing sites and fatal
-    /// for the clients (the Amazon-typo class of outage the paper cites).
-    WrongPrefix,
-}
-
-/// How the site fails (§4 assumes graceful withdrawal; the silent-crash
-/// mode probes what happens when the router dies without saying goodbye
-/// and neighbors must discover it via the BGP hold timer — the case that
-/// makes the paper's "real-time monitoring system" requirement bite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FailureMode {
-    /// The failing site withdraws all its announcements (paper default).
-    GracefulWithdrawal,
-    /// The site crashes silently: all its links drop, no withdrawals are
-    /// sent, and each neighbor purges its routes only when its hold timer
-    /// expires (`BgpTimingConfig::hold_time_s`).
-    SilentCrash,
-}
 
 /// Which BGP session model the simulator runs.
 ///
@@ -97,26 +70,21 @@ pub struct ExperimentConfig {
     /// Delay between the failure and the CDN's reactive reconfiguration
     /// (outage detection + control-system actuation).
     pub detection_delay: SimDuration,
-    /// How the site fails.
-    pub failure_mode: FailureMode,
-    /// Fault injected into the post-failure reaction — the §4/§7 "risk"
-    /// of reactive-anycast made measurable ("simultaneous global
-    /// configuration changes are operationally treacherous"). `None` = the
-    /// reaction executes cleanly.
-    pub reaction_fault: Option<ReactionFault>,
     /// Number of withdraw/re-announce cycles the site goes through before
     /// the final failure (maintenance churn / partial outages). With
     /// route-flap damping enabled, these pre-failure flaps push the
     /// prefix's penalty toward suppression — the damping ablation's
     /// scenario.
     pub pre_failure_flaps: u32,
-    /// The fault script to run. `None` runs the paper's baseline — the
-    /// measured site fails at t=10 s (after `pre_failure_flaps`
+    /// The fault script to run, and the only place a failure is
+    /// described. `None` runs the paper's baseline — the measured site
+    /// withdraws gracefully at t=10 s (after `pre_failure_flaps`
     /// withdraw/re-announce cycles) and the technique reacts
     /// `detection_delay` later — which is exactly
     /// [`Scenario::site_failure`]. Any other scenario injects its scripted
-    /// events instead; the measured site, target selection, and probing
-    /// protocol stay the same.
+    /// events instead (a silent crash is [`Scenario::crashed`], a botched
+    /// reaction a `React` with `skip` or `wrong_prefix`); the measured
+    /// site, target selection, and probing protocol stay the same.
     pub scenario: Option<Scenario>,
     /// The demand-driven data plane (site capacity, overload, load-aware
     /// DNS shedding). `None` — the default everywhere — runs the
@@ -145,8 +113,6 @@ impl ExperimentConfig {
             targets_per_site: 150,
             proximity_ms: 50.0,
             detection_delay: SimDuration::from_secs(2),
-            failure_mode: FailureMode::GracefulWithdrawal,
-            reaction_fault: None,
             pre_failure_flaps: 0,
             scenario: None,
             traffic: None,
@@ -166,8 +132,6 @@ impl ExperimentConfig {
             targets_per_site: 400,
             proximity_ms: 50.0,
             detection_delay: SimDuration::from_secs(2),
-            failure_mode: FailureMode::GracefulWithdrawal,
-            reaction_fault: None,
             pre_failure_flaps: 0,
             scenario: None,
             traffic: None,
@@ -175,6 +139,27 @@ impl ExperimentConfig {
             seed,
             max_events: 200_000_000,
         }
+    }
+
+    /// The fault script a cell runs: `scenario`, or else the built-in
+    /// baseline [`Scenario::site_failure`] at this config's detection
+    /// delay and pre-failure flaps (which compiles to exactly the schedule
+    /// the loop used to hard-code).
+    pub fn fault_script(&self) -> Scenario {
+        self.scenario.clone().unwrap_or_else(|| {
+            Scenario::site_failure(self.detection_delay.as_secs_f64(), self.pre_failure_flaps)
+        })
+    }
+
+    /// This config running `scenario`, with the catalog's convention that
+    /// a `damping-*` scenario studies route-flap damping, which it turns
+    /// on.
+    pub fn with_scenario(mut self, scenario: Scenario) -> ExperimentConfig {
+        if scenario.wants_damping() && self.timing.flap_damping.is_none() {
+            self.timing.flap_damping = Some(bobw_bgp::DampingConfig::default());
+        }
+        self.scenario = Some(scenario);
+        self
     }
 }
 
@@ -506,9 +491,21 @@ impl Run<'_> {
                 self.probes.mark_down(node);
                 self.mark_site(node, true);
             }
-            FaultOp::React { skip, stagger } => {
+            FaultOp::React {
+                skip,
+                stagger,
+                wrong_prefix,
+            } => {
                 let mut reactions = std::mem::take(&mut self.reactions);
                 reactions.drain(..skip.min(reactions.len()));
+                if wrong_prefix {
+                    // The config typo: every site announces the covering
+                    // prefix, which longest-prefix match keeps losing to
+                    // the dead specific route until it is withdrawn.
+                    for a in &mut reactions {
+                        a.prefix = self.plan.covering;
+                    }
+                }
                 match stagger {
                     None => {
                         // Legacy path: the whole reconfiguration lands at
@@ -539,6 +536,7 @@ impl Run<'_> {
                                 FaultOp::React {
                                     skip: 0,
                                     stagger: Some(stagger),
+                                    wrong_prefix: false,
                                 },
                             ));
                         }
@@ -649,28 +647,6 @@ impl Handler<SimEvent> for Run<'_> {
     }
 }
 
-/// Applies a configured [`ReactionFault`] to the technique's reaction set.
-fn apply_reaction_fault(
-    mut reactions: Vec<Action>,
-    fault: Option<ReactionFault>,
-    plan: &AddressPlan,
-) -> Vec<Action> {
-    match fault {
-        None => reactions,
-        Some(ReactionFault::SkipSites(n)) => {
-            // The first n sites' automation never fires.
-            reactions.drain(..n.min(reactions.len()));
-            reactions
-        }
-        Some(ReactionFault::WrongPrefix) => {
-            for a in &mut reactions {
-                a.prefix = plan.covering;
-            }
-            reactions
-        }
-    }
-}
-
 /// Per-cell performance counters captured alongside a failover experiment.
 ///
 /// Kept OUT of [`FailoverResult`] on purpose: wall-clock time is
@@ -732,33 +708,17 @@ fn run_cell(
     let wall_start = std::time::Instant::now();
     let cfg = &testbed.cfg;
     cfg.plan
-        .validate()
+        .validate(testbed.cdn.num_sites())
         .map_err(|e| format!("address plan: {e}"))?;
     let topo = &testbed.topo;
     let cdn = &testbed.cdn;
     let plan = &cfg.plan;
     let failed_node = cdn.node(failed);
 
-    // The fault script: the config's scenario, or the built-in baseline
-    // (which compiles to exactly the schedule the loop used to hard-code).
-    let default_scenario;
-    let scenario: &Scenario = match &cfg.scenario {
-        Some(s) => s,
-        None => {
-            default_scenario =
-                Scenario::site_failure(cfg.detection_delay.as_secs_f64(), cfg.pre_failure_flaps);
-            &default_scenario
-        }
-    };
-    let compiled = compile_scenario(
-        scenario,
-        topo,
-        cdn,
-        &testbed.rng,
-        failed,
-        matches!(cfg.failure_mode, FailureMode::GracefulWithdrawal),
-    )
-    .map_err(|e| format!("scenario {:?}: {e}", scenario.name))?;
+    let scenario = cfg.fault_script();
+    let compiled = scenario
+        .compile(topo, cdn, &testbed.rng, failed)
+        .map_err(|e| format!("scenario {:?}: {e}", scenario.name))?;
 
     let mut engine: Engine<SimEvent> = Engine::with_capacity(testbed.queue_capacity_hint());
     let mut run = Run {
@@ -767,11 +727,7 @@ fn run_cell(
         plan,
         bgp: BgpSim::from_seed(topo, cfg.timing.clone(), &testbed.bgp_seed),
         probes: ProbePlane::default(), // targets set after selection
-        reactions: apply_reaction_fault(
-            technique.after(plan, topo, cdn, failed),
-            cfg.reaction_fault,
-            plan,
-        ),
+        reactions: technique.after(plan, topo, cdn, failed),
         initial_actions: Vec::new(),
         drain: None,
         traffic: None,
@@ -1077,6 +1033,21 @@ mod tests {
         let tb = Testbed::new(cfg);
         let err = run_failover(&tb, &Technique::Anycast, tb.site("bos")).unwrap_err();
         assert!(err.contains("covering prefix must cover"), "{err}");
+
+        // A site block without one /24 per site: a /22 holds four of the
+        // eight, a /25 none. The drain cell carves per-site prefixes from
+        // it and used to panic ("does not fit", a shift underflow).
+        for block in ["184.164.232.0/22", "184.164.232.0/25"] {
+            let mut cfg = ExperimentConfig::quick(7);
+            cfg.plan.site_block = block.parse().unwrap();
+            cfg.scenario = Some(Scenario::dns_failover(2.0));
+            let tb = Testbed::new(cfg);
+            let err = run_failover(&tb, &Technique::Unicast, tb.site("bos")).unwrap_err();
+            assert!(
+                err.contains("one /24 for each of the 8 sites"),
+                "{block}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1375,7 +1346,11 @@ mod tests {
                     },
                     ScenarioEvent {
                         at_s: 12.0,
-                        action: ScenarioAction::React { skip: 0, stagger_s },
+                        action: ScenarioAction::React {
+                            skip: 0,
+                            stagger_s,
+                            wrong_prefix: None,
+                        },
                     },
                 ],
             });

@@ -38,11 +38,10 @@ pub mod technique;
 pub mod tradeoffs;
 
 pub use bobw_traffic::{RegionCapacity, Steering, TrafficConfig, TrafficSim, TrafficSummary};
-pub use control::{measure_control, measure_control_instrumented, ControlResult};
+pub use control::{measure_control, ControlResult};
 pub use divergence::{analyze_divergence, DivergenceReport};
 pub use experiment::{
-    run_failover, CellPerf, ExperimentConfig, FailoverResult, FailureMode, ReactionFault,
-    SessionModel, Testbed,
+    run_failover, CellPerf, ExperimentConfig, FailoverResult, SessionModel, Testbed,
 };
 pub use metrics::{analyze_target, OutcomeFold, TargetOutcome};
 pub use plan::AddressPlan;

@@ -79,9 +79,10 @@ impl AddressPlan {
         Prefix::new(self.site_block.bits() + offset, sub_len)
     }
 
-    /// Validates internal consistency; the experiment setup calls it and
-    /// turns a violation into the cell's error.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Validates internal consistency for a deployment of `num_sites`
+    /// sites; the experiment setup calls it and turns a violation into
+    /// the cell's error.
+    pub fn validate(&self, num_sites: usize) -> Result<(), String> {
         if !self.covering.covers(&self.specific) {
             return Err("covering prefix must cover the specific prefix".into());
         }
@@ -101,6 +102,14 @@ impl AddressPlan {
         {
             return Err("measurement prefixes must be disjoint".into());
         }
+        // One /24 per site (`site_prefix`).
+        let len = self.site_block.len();
+        if len > 24 || num_sites > 1usize << (24 - len) {
+            return Err(format!(
+                "site_block {} must hold one /24 for each of the {num_sites} sites",
+                self.site_block
+            ));
+        }
         Ok(())
     }
 }
@@ -112,7 +121,7 @@ mod tests {
     #[test]
     fn default_plan_matches_paper_allocation() {
         let p = AddressPlan::default();
-        assert_eq!(p.validate(), Ok(()));
+        assert_eq!(p.validate(8), Ok(()));
         assert_eq!(p.covering.to_string(), "184.164.244.0/23");
         assert_eq!(p.specific.to_string(), "184.164.244.0/24");
         // 184.164.244.10 as in §5.2.
@@ -144,12 +153,31 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_a_site_block_too_small_for_the_sites() {
+        // A /22 holds four /24s: enough for four sites, not for eight.
+        let p = AddressPlan {
+            site_block: "184.164.232.0/22".parse().unwrap(),
+            ..AddressPlan::default()
+        };
+        assert_eq!(p.validate(4), Ok(()));
+        let err = p.validate(8).unwrap_err();
+        assert!(err.contains("one /24 for each of the 8 sites"), "{err}");
+        // A /25 holds no /24 at all.
+        let p = AddressPlan {
+            site_block: "184.164.232.0/25".parse().unwrap(),
+            ..AddressPlan::default()
+        };
+        let err = p.validate(1).unwrap_err();
+        assert!(err.contains("184.164.232.0/25"), "{err}");
+    }
+
+    #[test]
     fn validate_rejects_non_covering() {
         let p = AddressPlan {
             covering: "10.0.0.0/23".parse().unwrap(),
             ..AddressPlan::default()
         };
-        let err = p.validate().unwrap_err();
+        let err = p.validate(8).unwrap_err();
         assert!(err.contains("must cover"), "{err}");
     }
 
@@ -159,7 +187,7 @@ mod tests {
             rtt_probe: "184.164.244.0/25".parse().unwrap(),
             ..AddressPlan::default()
         };
-        let err = p.validate().unwrap_err();
+        let err = p.validate(8).unwrap_err();
         assert!(err.contains("disjoint"), "{err}");
     }
 }

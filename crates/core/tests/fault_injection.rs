@@ -1,19 +1,47 @@
-//! Integration tests for the two fault-injection knobs of
-//! [`ExperimentConfig`]: a botched reactive reconfiguration
-//! (`reaction_fault`, the §4/§7 "risk" of reactive-anycast made
-//! measurable) and a silent site crash (`failure_mode`, where neighbors
-//! must discover the failure via the BGP hold timer instead of receiving
-//! withdrawals).
+//! Integration tests for the fault shapes the paper's §4/§7 risk
+//! discussion turns on, each scripted as a [`Scenario`]: a botched
+//! reactive reconfiguration (a `React` that skips sites or announces the
+//! wrong prefix — reactive-anycast's "operationally treacherous" risk
+//! made measurable) and a silent site crash (`Scenario::crashed`, where
+//! neighbors must discover the failure via the BGP hold timer instead of
+//! receiving withdrawals).
 
-use bobw_core::{
-    run_failover, ExperimentConfig, FailoverResult, FailureMode, ReactionFault, Technique, Testbed,
-};
+use bobw_core::{run_failover, ExperimentConfig, FailoverResult, Technique, Testbed};
 use bobw_event::SimDuration;
+use bobw_scenario::ScenarioAction;
 
 fn config(seed: u64) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::quick(seed);
     cfg.targets_per_site = 60;
     cfg.probe.duration = SimDuration::from_secs(240);
+    cfg
+}
+
+/// `cfg` running the baseline with its reaction botched: the first `skip`
+/// sites never get the new configuration, and with `wrong_prefix` every
+/// site announces the covering prefix instead of the specific one.
+fn botched_reaction(
+    mut cfg: ExperimentConfig,
+    skip: usize,
+    wrong_prefix: bool,
+) -> ExperimentConfig {
+    let mut scenario = cfg.fault_script();
+    let react = scenario
+        .events
+        .last_mut()
+        .expect("the baseline ends in its reaction");
+    react.action = ScenarioAction::React {
+        skip,
+        stagger_s: None,
+        wrong_prefix: wrong_prefix.then_some(true),
+    };
+    cfg.scenario = Some(scenario);
+    cfg
+}
+
+/// `cfg` with the baseline failure a silent crash.
+fn crashed(mut cfg: ExperimentConfig) -> ExperimentConfig {
+    cfg.scenario = Some(cfg.fault_script().crashed());
     cfg
 }
 
@@ -32,9 +60,7 @@ fn skip_sites_degrades_failover_monotonically() {
     // only the faulty reaction would have re-announced the specific prefix.
     let mut stranded = Vec::new();
     for n in [0usize, 3, 7] {
-        let mut cfg = config(21);
-        cfg.reaction_fault = (n > 0).then_some(ReactionFault::SkipSites(n));
-        let tb = Testbed::new(cfg);
+        let tb = Testbed::new(botched_reaction(config(21), n, false));
         let (r, _) =
             run_failover(&tb, &Technique::ReactiveAnycast, tb.site("bos")).expect("cell runs");
         assert!(r.num_controllable > 0);
@@ -62,9 +88,7 @@ fn wrong_prefix_typo_slows_failover_to_withdrawal_convergence() {
     let (clean, _) = run_failover(&clean_tb, &Technique::ReactiveAnycast, clean_tb.site("bos"))
         .expect("cell runs");
 
-    let mut cfg = config(22);
-    cfg.reaction_fault = Some(ReactionFault::WrongPrefix);
-    let tb = Testbed::new(cfg);
+    let tb = Testbed::new(botched_reaction(config(22), 0, true));
     let (typo, _) =
         run_failover(&tb, &Technique::ReactiveAnycast, tb.site("bos")).expect("cell runs");
 
@@ -93,17 +117,19 @@ fn silent_crash_converges_only_after_hold_timer() {
     // can reconnect before `hold_time_s`. A graceful withdrawal at the
     // same seed reconnects well before that.
     let hold_s = 90.0;
-    let mk = |mode: FailureMode| {
+    let mk = |crash: bool| {
         let mut cfg = config(23);
-        cfg.failure_mode = mode;
+        if crash {
+            cfg = crashed(cfg);
+        }
         cfg.timing.hold_time_s = hold_s;
         let tb = Testbed::new(cfg);
         run_failover(&tb, &Technique::Anycast, tb.site("slc"))
             .expect("cell runs")
             .0
     };
-    let graceful = mk(FailureMode::GracefulWithdrawal);
-    let crash = mk(FailureMode::SilentCrash);
+    let graceful = mk(false);
+    let crash = mk(true);
 
     let crash_recons: Vec<f64> = crash.reconnection_secs();
     assert!(
@@ -134,8 +160,7 @@ fn bfd_style_detection_restores_fast_crash_failover() {
     // silent crash stops being special: reconnection times drop from the
     // hold-timer plateau back to withdrawal-convergence territory.
     let mk = |hold_s: f64| {
-        let mut cfg = config(24);
-        cfg.failure_mode = FailureMode::SilentCrash;
+        let mut cfg = crashed(config(24));
         cfg.timing.hold_time_s = hold_s;
         let tb = Testbed::new(cfg);
         let (r, _) = run_failover(&tb, &Technique::Anycast, tb.site("msn")).expect("cell runs");

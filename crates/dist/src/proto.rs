@@ -3,17 +3,20 @@
 //! The coordinator ships the **full `ExperimentConfig`** in each batch
 //! header rather than asking workers to reconstruct it from CLI flags:
 //! ablation studies mutate a dozen config knobs (MRAI bands, detection
-//! delay, flap damping, reaction faults, …) that no flag set could
+//! delay, flap damping, fault scripts, …) that no flag set could
 //! express, and a worker building even a slightly different config would
 //! silently produce different — deterministically wrong — results.
 //!
 //! The config crosses as **one length-prefixed string holding its
 //! canonical JSON**, re-parsed with the typed deserializer on arrival. So
-//! a new config knob needs no encoder and no protocol bump, and a worker
-//! rejects a structurally invalid config (scenario included) at decode
-//! time. [`config_fingerprint`] hashes that same JSON; the worker re-hashes
-//! what it decoded and refuses the batch unless the two agree, which makes
-//! the fingerprint the guard that decode ∘ encode is the identity.
+//! a new config knob needs no encoder, and a worker rejects a
+//! structurally invalid config (scenario included) at decode time. Every
+//! sender writes canonical JSON, so the receiver also refuses JSON that
+//! does not re-encode to the same bytes: a field this build does not know
+//! would otherwise be dropped without a word. [`config_fingerprint`]
+//! hashes that same JSON; the worker re-hashes what it decoded and refuses
+//! the batch unless the two agree, which catches a corrupted config that
+//! still decodes.
 //! Everything else is binary: messages are `wire_struct!` / `wire_enum!`
 //! encodings, and cell results keep the exact `f64` bits that
 //! byte-identical distributed results rest on.
@@ -52,7 +55,10 @@ use crate::{wire_enum, wire_struct};
 /// need no encoding change.
 /// v7: `ExperimentConfig` crosses as its canonical JSON, so config fields
 /// no longer touch the protocol. Every other message keeps its v6 bytes.
-pub const PROTOCOL_VERSION: u32 = 7;
+/// v8: the config lost `failure_mode` and `reaction_fault` (a scenario
+/// scripts both), and a config JSON that does not re-encode to the same
+/// bytes — an unknown or stale field, say — is refused.
+pub const PROTOCOL_VERSION: u32 = 8;
 
 // ---------------------------------------------------------------------------
 // Fingerprints
@@ -327,7 +333,9 @@ wire_enum!(FromWorker {
 
 // Configs cross the wire as their canonical JSON and are re-parsed with
 // the *typed* deserializer on arrival, so a worker rejects a structurally
-// invalid config at decode time — before it can build a testbed from it.
+// invalid config at decode time — before it can build a testbed from it —
+// and a config carrying fields it does not know (an older client's
+// `failure_mode`, say) instead of running it without them.
 impl Wire for ExperimentConfig {
     fn encode(&self, out: &mut Vec<u8>) {
         serde_json::to_string(self)
@@ -337,7 +345,12 @@ impl Wire for ExperimentConfig {
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let json = String::decode(buf)?;
-        serde_json::from_str_typed(&json).map_err(|_| WireError::Invalid("malformed config"))
+        let config: ExperimentConfig = serde_json::from_str_typed(&json)
+            .map_err(|_| WireError::Invalid("malformed config"))?;
+        if serde_json::to_string(&config).ok().as_deref() != Some(json.as_str()) {
+            return Err(WireError::Invalid("non-canonical config"));
+        }
+        Ok(config)
     }
 }
 
@@ -427,7 +440,6 @@ wire_struct!(CellPerf {
 mod tests {
     use super::*;
     use crate::wire::{decode_exact, encode_vec};
-    use bobw_core::{FailureMode, ReactionFault};
 
     /// A config with every optional knob exercised — the ablation bins'
     /// mutations must survive the wire exactly.
@@ -436,11 +448,9 @@ mod tests {
         cfg.timing.flap_damping = Some(bobw_bgp::DampingConfig::default());
         cfg.timing.withdrawal_rate_limiting = true;
         cfg.timing.mrai_min_s *= 0.25;
-        cfg.failure_mode = FailureMode::SilentCrash;
-        cfg.reaction_fault = Some(ReactionFault::SkipSites(3));
         cfg.pre_failure_flaps = 4;
         cfg.detection_delay = SimDuration::from_nanos(123_456_789);
-        cfg.scenario = Some(bobw_scenario::Scenario::site_failure(2.5, 3));
+        cfg.scenario = Some(bobw_scenario::Scenario::site_failure(2.5, 3).crashed());
         cfg.traffic = Some(bobw_core::TrafficConfig {
             capacity_headroom: 1.25,
             control_every: 5,
@@ -621,7 +631,7 @@ mod tests {
     #[test]
     fn scenario_compiles_identically_after_wire_round_trip() {
         use bobw_core::Testbed;
-        use bobw_scenario::{compile, Scenario, ScenarioAction, ScenarioEvent};
+        use bobw_scenario::{Scenario, ScenarioAction, ScenarioEvent};
 
         let mut scenario = Scenario::site_failure(2.0, 0);
         scenario.events.insert(
@@ -645,8 +655,10 @@ mod tests {
 
         let tb = Testbed::new(ExperimentConfig::quick(7));
         let site = tb.site("bos");
-        let local = compile(&scenario, &tb.topo, &tb.cdn, &tb.rng, site, true).unwrap();
-        let remote = compile(&remote_scenario, &tb.topo, &tb.cdn, &tb.rng, site, true).unwrap();
+        let local = scenario.compile(&tb.topo, &tb.cdn, &tb.rng, site).unwrap();
+        let remote = remote_scenario
+            .compile(&tb.topo, &tb.cdn, &tb.rng, site)
+            .unwrap();
         assert_eq!(local, remote);
         assert_eq!(
             serde_json::to_string(&local).unwrap(),

@@ -25,10 +25,9 @@
 //! 4. exits on `Shutdown` or a closed socket.
 //!
 //! Determinism: the cell computation is exactly the same
-//! `run_failover` / `measure_control_instrumented` call a
-//! local run makes, against a `Testbed` built from the coordinator's own
-//! config — so a cell's bytes are identical no matter which process (or
-//! which of its threads) ran it.
+//! `run_failover` / `measure_control` call a local run makes, against a
+//! `Testbed` built from the coordinator's own config — so a cell's bytes
+//! are identical no matter which process (or which of its threads) ran it.
 
 use std::collections::HashMap;
 use std::io;
@@ -36,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
-use bobw_core::{measure_control_instrumented, run_failover, Technique, Testbed};
+use bobw_core::{measure_control, run_failover, Technique, Testbed};
 
 use crate::auth::AuthSecret;
 use crate::endpoint::{Conn, Endpoint};
@@ -380,7 +379,7 @@ pub fn execute_cell(tb: &Testbed, cell: &CellSpec) -> Result<CellOutput, String>
                 .cdn
                 .by_name(site)
                 .ok_or_else(|| format!("unknown site {site:?}"))?;
-            let (result, perf) = measure_control_instrumented(tb, site, prepends);
+            let (result, perf) = measure_control(tb, site, prepends);
             Ok(CellOutput::Control(result, perf))
         }
     }

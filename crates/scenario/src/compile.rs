@@ -10,10 +10,9 @@
 //! FIFO, so authors control same-instant ordering by event order.
 //!
 //! Purity: the only inputs are the scenario, the testbed (topology + CDN,
-//! themselves pure functions of the seed), the measured site, and the
-//! config's default failure mode. No clocks, no global state — the same
-//! cell compiles to the same byte sequence on every process of a
-//! distributed run.
+//! themselves pure functions of the seed) and the measured site. No
+//! clocks, no global state — the same cell compiles to the same byte
+//! sequence on every process of a distributed run.
 
 use bobw_event::{RngFactory, SimDuration};
 use bobw_net::NodeId;
@@ -69,12 +68,15 @@ pub enum FaultOp {
     /// Data plane down with no control-plane action (the tail end of a
     /// drain: routes are already withdrawn when the machines power off).
     SiteDark { node: NodeId },
-    /// Fire the technique's reaction, minus its first `skip` actions.
-    /// With `stagger` set, one action fires now and the rest roll out one
-    /// every `stagger` (a staged rollout); `None` fires all at once.
+    /// Fire the technique's reaction, minus its first `skip` actions,
+    /// announcing the covering prefix instead of the specific one when
+    /// `wrong_prefix`. With `stagger` set, one action fires now and the
+    /// rest roll out one every `stagger` (a staged rollout); `None` fires
+    /// all at once.
     React {
         skip: usize,
         stagger: Option<SimDuration>,
+        wrong_prefix: bool,
     },
     /// Demand surge starting at the event time (region is an index into
     /// [`REGIONS`], `None` = global). Traffic layer only; a no-op when the
@@ -204,11 +206,10 @@ fn region_cut(
     Ok(pairs.into_iter().collect())
 }
 
-/// Compiles a scenario against one testbed cell.
-///
-/// `measured` is the cell's failed/measured site (binds `"$site"`);
-/// `default_graceful` is the experiment config's failure mode, used by
-/// `SiteFail` events that leave `graceful` unset.
+/// [`Scenario::compile`] under its older signature, from when the
+/// experiment config carried a failure mode: `default_graceful: false`
+/// compiles [`Scenario::crashed`]. Kept because the benchmark crate
+/// builds against it; everything else calls the method.
 pub fn compile(
     scenario: &Scenario,
     topo: &Topology,
@@ -217,222 +218,245 @@ pub fn compile(
     measured: SiteId,
     default_graceful: bool,
 ) -> Result<CompiledScenario, ScenarioError> {
-    scenario.validate()?;
-    let mut events = Vec::with_capacity(scenario.events.len());
-    let mut push = |at_s: f64, op: FaultOp| {
-        events.push(CompiledEvent {
-            at: SimDuration::from_secs_f64(at_s),
-            op,
-        });
-    };
-    for (i, ev) in scenario.events.iter().enumerate() {
-        match &ev.action {
-            ScenarioAction::Withdraw { site } => {
-                let node = cdn.node(resolve_site(i, site, measured, cdn)?);
-                push(ev.at_s, FaultOp::Withdraw { node });
-            }
-            ScenarioAction::Announce { site } => {
-                let node = cdn.node(resolve_site(i, site, measured, cdn)?);
-                push(ev.at_s, FaultOp::Announce { node });
-            }
-            ScenarioAction::SiteFail { site, graceful } => {
-                let node = cdn.node(resolve_site(i, site, measured, cdn)?);
-                push(
-                    ev.at_s,
-                    FaultOp::SiteFail {
-                        node,
-                        graceful: graceful.unwrap_or(default_graceful),
-                    },
-                );
-            }
-            ScenarioAction::SiteRestore { site } => {
-                let node = cdn.node(resolve_site(i, site, measured, cdn)?);
-                push(ev.at_s, FaultOp::SiteRestore { node });
-            }
-            ScenarioAction::LinkDown { site, link } => {
-                let node = cdn.node(resolve_site(i, site, measured, cdn)?);
-                let peer = resolve_link(i, topo, node, *link)?;
-                push(
-                    ev.at_s,
-                    FaultOp::CutLinks {
-                        pairs: vec![(node, peer)],
-                    },
-                );
-            }
-            ScenarioAction::LinkUp { site, link } => {
-                let node = cdn.node(resolve_site(i, site, measured, cdn)?);
-                let peer = resolve_link(i, topo, node, *link)?;
-                push(
-                    ev.at_s,
-                    FaultOp::RestoreLinks {
-                        pairs: vec![(node, peer)],
-                    },
-                );
-            }
-            ScenarioAction::SessionReset { site, link } => {
-                let node = cdn.node(resolve_site(i, site, measured, cdn)?);
-                let peer = resolve_link(i, topo, node, *link)?;
-                push(ev.at_s, FaultOp::SessionReset { node, peer });
-            }
-            ScenarioAction::HalfOpen { site, link } => {
-                let node = cdn.node(resolve_site(i, site, measured, cdn)?);
-                let peer = resolve_link(i, topo, node, *link)?;
-                push(ev.at_s, FaultOp::HalfOpen { node, peer });
-            }
-            ScenarioAction::GracefulRestart { site, restart_s } => {
-                let node = cdn.node(resolve_site(i, site, measured, cdn)?);
-                push(
-                    ev.at_s,
-                    FaultOp::GracefulRestart {
-                        node,
-                        restart: SimDuration::from_secs_f64(*restart_s),
-                    },
-                );
-            }
-            ScenarioAction::NotifyReset { site, link, code } => {
-                let node = cdn.node(resolve_site(i, site, measured, cdn)?);
-                let peer = resolve_link(i, topo, node, *link)?;
-                push(
-                    ev.at_s,
-                    FaultOp::NotifyReset {
-                        node,
-                        peer,
-                        code: *code,
-                    },
-                );
-            }
-            ScenarioAction::HijackAnnounce { site, link } => {
-                // The neighbor across the link is the hijacker; the site is
-                // the victim whose prefixes it forges.
-                let victim = cdn.node(resolve_site(i, site, measured, cdn)?);
-                let hijacker = resolve_link(i, topo, victim, *link)?;
-                push(
-                    ev.at_s,
-                    FaultOp::Hijack {
-                        node: hijacker,
-                        victim,
-                    },
-                );
-            }
-            ScenarioAction::Flap {
-                site,
-                count,
-                period_s,
-                down_s,
-                jitter_s,
-            } => {
-                let node = cdn.node(resolve_site(i, site, measured, cdn)?);
-                // One jitter stream per scenario event, advanced per cycle:
-                // deterministic in ⟨seed, event index, cycle⟩, identical on
-                // every process of a distributed run.
-                let mut r = rng.stream("scenario-flap", i as u64);
-                for cycle in 0..*count {
-                    let jitter = if *jitter_s > 0.0 {
-                        r.gen_range(0.0..*jitter_s)
-                    } else {
-                        0.0
+    if default_graceful {
+        scenario.compile(topo, cdn, rng, measured)
+    } else {
+        scenario.clone().crashed().compile(topo, cdn, rng, measured)
+    }
+}
+
+impl Scenario {
+    /// Compiles the scenario against one testbed cell. `measured` is the
+    /// cell's failed/measured site (binds `"$site"`).
+    pub fn compile(
+        &self,
+        topo: &Topology,
+        cdn: &CdnDeployment,
+        rng: &RngFactory,
+        measured: SiteId,
+    ) -> Result<CompiledScenario, ScenarioError> {
+        self.validate()?;
+        let mut events = Vec::with_capacity(self.events.len());
+        let mut push = |at_s: f64, op: FaultOp| {
+            events.push(CompiledEvent {
+                at: SimDuration::from_secs_f64(at_s),
+                op,
+            });
+        };
+        for (i, ev) in self.events.iter().enumerate() {
+            match &ev.action {
+                ScenarioAction::Withdraw { site } => {
+                    let node = cdn.node(resolve_site(i, site, measured, cdn)?);
+                    push(ev.at_s, FaultOp::Withdraw { node });
+                }
+                ScenarioAction::Announce { site } => {
+                    let node = cdn.node(resolve_site(i, site, measured, cdn)?);
+                    push(ev.at_s, FaultOp::Announce { node });
+                }
+                ScenarioAction::SiteFail { site, graceful } => {
+                    let node = cdn.node(resolve_site(i, site, measured, cdn)?);
+                    push(
+                        ev.at_s,
+                        FaultOp::SiteFail {
+                            node,
+                            graceful: graceful.unwrap_or(true),
+                        },
+                    );
+                }
+                ScenarioAction::SiteRestore { site } => {
+                    let node = cdn.node(resolve_site(i, site, measured, cdn)?);
+                    push(ev.at_s, FaultOp::SiteRestore { node });
+                }
+                ScenarioAction::LinkDown { site, link } => {
+                    let node = cdn.node(resolve_site(i, site, measured, cdn)?);
+                    let peer = resolve_link(i, topo, node, *link)?;
+                    push(
+                        ev.at_s,
+                        FaultOp::CutLinks {
+                            pairs: vec![(node, peer)],
+                        },
+                    );
+                }
+                ScenarioAction::LinkUp { site, link } => {
+                    let node = cdn.node(resolve_site(i, site, measured, cdn)?);
+                    let peer = resolve_link(i, topo, node, *link)?;
+                    push(
+                        ev.at_s,
+                        FaultOp::RestoreLinks {
+                            pairs: vec![(node, peer)],
+                        },
+                    );
+                }
+                ScenarioAction::SessionReset { site, link } => {
+                    let node = cdn.node(resolve_site(i, site, measured, cdn)?);
+                    let peer = resolve_link(i, topo, node, *link)?;
+                    push(ev.at_s, FaultOp::SessionReset { node, peer });
+                }
+                ScenarioAction::HalfOpen { site, link } => {
+                    let node = cdn.node(resolve_site(i, site, measured, cdn)?);
+                    let peer = resolve_link(i, topo, node, *link)?;
+                    push(ev.at_s, FaultOp::HalfOpen { node, peer });
+                }
+                ScenarioAction::GracefulRestart { site, restart_s } => {
+                    let node = cdn.node(resolve_site(i, site, measured, cdn)?);
+                    push(
+                        ev.at_s,
+                        FaultOp::GracefulRestart {
+                            node,
+                            restart: SimDuration::from_secs_f64(*restart_s),
+                        },
+                    );
+                }
+                ScenarioAction::NotifyReset { site, link, code } => {
+                    let node = cdn.node(resolve_site(i, site, measured, cdn)?);
+                    let peer = resolve_link(i, topo, node, *link)?;
+                    push(
+                        ev.at_s,
+                        FaultOp::NotifyReset {
+                            node,
+                            peer,
+                            code: *code,
+                        },
+                    );
+                }
+                ScenarioAction::HijackAnnounce { site, link } => {
+                    // The neighbor across the link is the hijacker; the site is
+                    // the victim whose prefixes it forges.
+                    let victim = cdn.node(resolve_site(i, site, measured, cdn)?);
+                    let hijacker = resolve_link(i, topo, victim, *link)?;
+                    push(
+                        ev.at_s,
+                        FaultOp::Hijack {
+                            node: hijacker,
+                            victim,
+                        },
+                    );
+                }
+                ScenarioAction::Flap {
+                    site,
+                    count,
+                    period_s,
+                    down_s,
+                    jitter_s,
+                } => {
+                    let node = cdn.node(resolve_site(i, site, measured, cdn)?);
+                    // One jitter stream per scenario event, advanced per cycle:
+                    // deterministic in ⟨seed, event index, cycle⟩, identical on
+                    // every process of a distributed run.
+                    let mut r = rng.stream("scenario-flap", i as u64);
+                    for cycle in 0..*count {
+                        let jitter = if *jitter_s > 0.0 {
+                            r.gen_range(0.0..*jitter_s)
+                        } else {
+                            0.0
+                        };
+                        let down = ev.at_s + *period_s * cycle as f64 + jitter;
+                        push(down, FaultOp::Withdraw { node });
+                        push(down + *down_s, FaultOp::Announce { node });
+                    }
+                }
+                ScenarioAction::Partition { region } => {
+                    let pairs = region_cut(i, topo, region)?;
+                    push(ev.at_s, FaultOp::CutLinks { pairs });
+                }
+                ScenarioAction::HealPartition { region } => {
+                    let pairs = region_cut(i, topo, region)?;
+                    push(ev.at_s, FaultOp::RestoreLinks { pairs });
+                }
+                ScenarioAction::Drain {
+                    site,
+                    ttl_s,
+                    shutdown_after_s,
+                    violators,
+                } => {
+                    let site_id = resolve_site(i, site, measured, cdn)?;
+                    let node = cdn.node(site_id);
+                    push(
+                        ev.at_s,
+                        FaultOp::Drain {
+                            node,
+                            site: site_id,
+                            ttl: SimDuration::from_secs_f64(*ttl_s),
+                            violators: violators.unwrap_or(0.0),
+                        },
+                    );
+                    push(ev.at_s + *shutdown_after_s, FaultOp::SiteDark { node });
+                }
+                ScenarioAction::React {
+                    skip,
+                    stagger_s,
+                    wrong_prefix,
+                } => {
+                    push(
+                        ev.at_s,
+                        FaultOp::React {
+                            skip: *skip,
+                            stagger: stagger_s.map(SimDuration::from_secs_f64),
+                            wrong_prefix: wrong_prefix.unwrap_or(false),
+                        },
+                    );
+                }
+                ScenarioAction::Surge {
+                    region,
+                    factor,
+                    ramp_s,
+                    duration_s,
+                } => {
+                    let region = match region {
+                        None => None,
+                        Some(name) => Some(resolve_region(i, name)?),
                     };
-                    let down = ev.at_s + *period_s * cycle as f64 + jitter;
-                    push(down, FaultOp::Withdraw { node });
-                    push(down + *down_s, FaultOp::Announce { node });
+                    push(
+                        ev.at_s,
+                        FaultOp::Surge {
+                            region,
+                            factor: *factor,
+                            ramp: SimDuration::from_secs_f64(*ramp_s),
+                            duration: SimDuration::from_secs_f64(*duration_s),
+                        },
+                    );
+                }
+                ScenarioAction::DemandShift { region, factor } => {
+                    let region = resolve_region(i, region)?;
+                    push(
+                        ev.at_s,
+                        FaultOp::DemandShift {
+                            region,
+                            factor: *factor,
+                        },
+                    );
+                }
+                ScenarioAction::CapacityChange { site, factor } => {
+                    let site = resolve_site(i, site, measured, cdn)?;
+                    push(
+                        ev.at_s,
+                        FaultOp::CapacityChange {
+                            site,
+                            factor: *factor,
+                        },
+                    );
+                }
+                ScenarioAction::Scrub {
+                    capacity_factor,
+                    duration_s,
+                } => {
+                    push(
+                        ev.at_s,
+                        FaultOp::Scrub {
+                            capacity_factor: *capacity_factor,
+                            duration: SimDuration::from_secs_f64(*duration_s),
+                        },
+                    );
                 }
             }
-            ScenarioAction::Partition { region } => {
-                let pairs = region_cut(i, topo, region)?;
-                push(ev.at_s, FaultOp::CutLinks { pairs });
-            }
-            ScenarioAction::HealPartition { region } => {
-                let pairs = region_cut(i, topo, region)?;
-                push(ev.at_s, FaultOp::RestoreLinks { pairs });
-            }
-            ScenarioAction::Drain {
-                site,
-                ttl_s,
-                shutdown_after_s,
-                violators,
-            } => {
-                let site_id = resolve_site(i, site, measured, cdn)?;
-                let node = cdn.node(site_id);
-                push(
-                    ev.at_s,
-                    FaultOp::Drain {
-                        node,
-                        site: site_id,
-                        ttl: SimDuration::from_secs_f64(*ttl_s),
-                        violators: violators.unwrap_or(0.0),
-                    },
-                );
-                push(ev.at_s + *shutdown_after_s, FaultOp::SiteDark { node });
-            }
-            ScenarioAction::React { skip, stagger_s } => {
-                push(
-                    ev.at_s,
-                    FaultOp::React {
-                        skip: *skip,
-                        stagger: stagger_s.map(SimDuration::from_secs_f64),
-                    },
-                );
-            }
-            ScenarioAction::Surge {
-                region,
-                factor,
-                ramp_s,
-                duration_s,
-            } => {
-                let region = match region {
-                    None => None,
-                    Some(name) => Some(resolve_region(i, name)?),
-                };
-                push(
-                    ev.at_s,
-                    FaultOp::Surge {
-                        region,
-                        factor: *factor,
-                        ramp: SimDuration::from_secs_f64(*ramp_s),
-                        duration: SimDuration::from_secs_f64(*duration_s),
-                    },
-                );
-            }
-            ScenarioAction::DemandShift { region, factor } => {
-                let region = resolve_region(i, region)?;
-                push(
-                    ev.at_s,
-                    FaultOp::DemandShift {
-                        region,
-                        factor: *factor,
-                    },
-                );
-            }
-            ScenarioAction::CapacityChange { site, factor } => {
-                let site = resolve_site(i, site, measured, cdn)?;
-                push(
-                    ev.at_s,
-                    FaultOp::CapacityChange {
-                        site,
-                        factor: *factor,
-                    },
-                );
-            }
-            ScenarioAction::Scrub {
-                capacity_factor,
-                duration_s,
-            } => {
-                push(
-                    ev.at_s,
-                    FaultOp::Scrub {
-                        capacity_factor: *capacity_factor,
-                        duration: SimDuration::from_secs_f64(*duration_s),
-                    },
-                );
-            }
         }
+        Ok(CompiledScenario {
+            name: self.name.clone(),
+            measure_site: measured,
+            t_fail_offset: SimDuration::from_secs_f64(self.t_fail_s()),
+            events,
+        })
     }
-    Ok(CompiledScenario {
-        name: scenario.name.clone(),
-        measure_site: measured,
-        t_fail_offset: SimDuration::from_secs_f64(scenario.t_fail_s()),
-        events,
-    })
 }
 
 #[cfg(test)]
@@ -451,15 +475,9 @@ mod tests {
     fn baseline_compiles_to_the_legacy_schedule() {
         let (topo, cdn, rng) = testbed();
         let site = cdn.by_name("bos").unwrap();
-        let c = compile(
-            &Scenario::site_failure(2.0, 1),
-            &topo,
-            &cdn,
-            &rng,
-            site,
-            true,
-        )
-        .unwrap();
+        let c = Scenario::site_failure(2.0, 1)
+            .compile(&topo, &cdn, &rng, site)
+            .unwrap();
         assert_eq!(c.measure_site, site);
         assert_eq!(c.t_fail_offset, SimDuration::from_secs(40));
         let node = cdn.node(site);
@@ -481,8 +499,33 @@ mod tests {
             c.events[3].op,
             FaultOp::React {
                 skip: 0,
-                stagger: None
+                stagger: None,
+                wrong_prefix: false,
             }
+        );
+
+        // The older free-function signature: `false` compiles the crashed
+        // script, `true` the script as written.
+        let baseline = Scenario::site_failure(2.0, 1);
+        let crash = compile(&baseline, &topo, &cdn, &rng, site, false).unwrap();
+        assert_eq!(
+            crash.events[2].op,
+            FaultOp::SiteFail {
+                node,
+                graceful: false
+            }
+        );
+        assert_eq!(
+            crash,
+            baseline
+                .clone()
+                .crashed()
+                .compile(&topo, &cdn, &rng, site)
+                .unwrap()
+        );
+        assert_eq!(
+            compile(&baseline, &topo, &cdn, &rng, site, true).unwrap(),
+            c
         );
     }
 
@@ -509,8 +552,8 @@ mod tests {
         let (topo_a, cdn_a, rng_a) = testbed();
         let (topo_b, cdn_b, rng_b) = testbed();
         let site = cdn_a.by_name("sea1").unwrap();
-        let a = compile(&scenario, &topo_a, &cdn_a, &rng_a, site, true).unwrap();
-        let b = compile(&scenario, &topo_b, &cdn_b, &rng_b, site, true).unwrap();
+        let a = scenario.compile(&topo_a, &cdn_a, &rng_a, site).unwrap();
+        let b = scenario.compile(&topo_b, &cdn_b, &rng_b, site).unwrap();
         assert_eq!(dump(&a), dump(&b));
         // And the jitter actually jittered: cycles are not exactly 20 s apart.
         let downs: Vec<f64> = a
@@ -542,7 +585,7 @@ mod tests {
             }],
         };
         let site = cdn.by_name("sea1").unwrap();
-        let c = compile(&scenario, &topo, &cdn, &rng, site, true).unwrap();
+        let c = scenario.compile(&topo, &cdn, &rng, site).unwrap();
         let FaultOp::CutLinks { pairs } = &c.events[0].op else {
             panic!("expected CutLinks, got {:?}", c.events[0].op);
         };
@@ -570,9 +613,7 @@ mod tests {
                 graceful: None,
             },
         };
-        let err = compile(&s, &topo, &cdn, &rng, site, true)
-            .unwrap_err()
-            .to_string();
+        let err = s.compile(&topo, &cdn, &rng, site).unwrap_err().to_string();
         assert!(
             err.contains("events[0]") && err.contains("atlantis"),
             "{err}"
@@ -585,9 +626,7 @@ mod tests {
                 link: 10_000,
             },
         };
-        let err = compile(&s, &topo, &cdn, &rng, site, true)
-            .unwrap_err()
-            .to_string();
+        let err = s.compile(&topo, &cdn, &rng, site).unwrap_err().to_string();
         assert!(err.contains("out of range"), "{err}");
     }
 
@@ -629,6 +668,7 @@ mod tests {
                     action: ScenarioAction::React {
                         skip: 1,
                         stagger_s: Some(5.0),
+                        wrong_prefix: Some(true),
                     },
                 },
                 ScenarioEvent {
@@ -640,7 +680,7 @@ mod tests {
                 },
             ],
         };
-        let c = compile(&s, &topo, &cdn, &rng, site, true).unwrap();
+        let c = s.compile(&topo, &cdn, &rng, site).unwrap();
         let sea = REGIONS.iter().position(|r| r.name == "seattle").unwrap();
         let bos = REGIONS.iter().position(|r| r.name == "boston").unwrap();
         assert_eq!(
@@ -668,6 +708,7 @@ mod tests {
             FaultOp::React {
                 skip: 1,
                 stagger: Some(SimDuration::from_secs(5)),
+                wrong_prefix: true,
             }
         );
         assert_eq!(
@@ -687,7 +728,8 @@ mod tests {
                 factor: 1.5,
             },
         };
-        let err = compile(&bad, &topo, &cdn, &rng, site, true)
+        let err = bad
+            .compile(&topo, &cdn, &rng, site)
             .unwrap_err()
             .to_string();
         assert!(err.contains("events[1]") && err.contains("oz"), "{err}");
@@ -734,7 +776,7 @@ mod tests {
                 },
             ],
         };
-        let c = compile(&s, &topo, &cdn, &rng, site, true).unwrap();
+        let c = s.compile(&topo, &cdn, &rng, site).unwrap();
         let node = cdn.node(site);
         let peer0 = topo.neighbors(node)[0].peer;
         let peer1 = topo.neighbors(node)[1].peer;
@@ -772,7 +814,8 @@ mod tests {
                 link: 10_000,
             },
         };
-        let err = compile(&bad, &topo, &cdn, &rng, site, true)
+        let err = bad
+            .compile(&topo, &cdn, &rng, site)
             .unwrap_err()
             .to_string();
         assert!(err.contains("out of range"), "{err}");
@@ -793,7 +836,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        let c = compile(&s, &topo, &cdn, &rng, site, true).unwrap();
+        let c = s.compile(&topo, &cdn, &rng, site).unwrap();
         assert!(c.has_drain());
         assert_eq!(c.t_fail_offset, SimDuration::from_secs(10));
         assert_eq!(c.events.len(), 2);
@@ -814,7 +857,7 @@ mod tests {
         // after the detection delay and the machines are already dark.
         let dns = Scenario::dns_failover(2.0);
         dns.validate().unwrap();
-        let c = compile(&dns, &topo, &cdn, &rng, site, true).unwrap();
+        let c = dns.compile(&topo, &cdn, &rng, site).unwrap();
         assert_eq!(c.t_fail_offset, SimDuration::from_secs(10));
         let at = |s: u64| SimDuration::from_secs(s);
         assert_eq!(
@@ -850,9 +893,7 @@ mod tests {
                 unreachable!("dns_failover drains second");
             };
             *violators = Some(bad);
-            let err = compile(&s, &topo, &cdn, &rng, site, true)
-                .unwrap_err()
-                .to_string();
+            let err = s.compile(&topo, &cdn, &rng, site).unwrap_err().to_string();
             assert!(
                 err.contains("events[1]") && err.contains("violators"),
                 "{bad}: {err}"

@@ -6,7 +6,7 @@
 //! script of injectable events (link down/up, node crash/restore, BGP
 //! session reset, flap sequences, regional partition, maintenance drain,
 //! overlapping second failure, delayed/partial technique reaction),
-//! authored as JSON and [compiled](compile) against a concrete testbed
+//! authored as JSON and [compiled](Scenario::compile) against a concrete testbed
 //! into a flat list of [`FaultOp`]s that `bobw-core`'s experiment loop
 //! schedules on its event engine. Every technique runs unmodified under
 //! any scenario; the experiment's measured site, target selection, and

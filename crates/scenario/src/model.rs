@@ -54,8 +54,9 @@ pub enum ScenarioAction {
     Announce { site: String },
     /// The site dies: data plane down, and either a graceful withdrawal
     /// of all its announcements or a silent crash of all its links
-    /// (neighbors discover via hold timers). `graceful: null` defers to
-    /// the experiment config's `failure_mode`.
+    /// (neighbors discover via hold timers). `graceful: null` (or
+    /// omitted) is a graceful withdrawal, the paper's §4 failure;
+    /// [`Scenario::crashed`] turns every such unset failure silent.
     SiteFail {
         site: String,
         graceful: Option<bool>,
@@ -128,8 +129,15 @@ pub enum ScenarioAction {
     /// detection, twice models a retry. With `stagger_s` set, the actions
     /// roll out one every `stagger_s` seconds (a staged rollout) instead
     /// of all at once; `null` (or omitted) keeps the legacy all-at-once
-    /// behavior.
-    React { skip: usize, stagger_s: Option<f64> },
+    /// behavior. `wrong_prefix: true` announces the covering prefix
+    /// instead of the specific one — a one-line config typo that
+    /// longest-prefix match makes silent at the sites and fatal for the
+    /// clients; `null` (or omitted) announces the right prefix.
+    React {
+        skip: usize,
+        stagger_s: Option<f64>,
+        wrong_prefix: Option<bool>,
+    },
     /// Demand surge (flash crowd / volumetric DDoS): demand ramps from 1×
     /// to `factor`× over `ramp_s`, holds until `duration_s` past the
     /// event time, then ramps back down. `region: null` surges globally.
@@ -239,10 +247,8 @@ fn finite_nonneg(event: usize, what: &str, v: f64) -> Result<(), ScenarioError> 
 
 impl Scenario {
     /// Structural validation that needs no testbed: names, times, counts.
-    /// Site/region names and link indices are checked at [`compile`] time
-    /// against a concrete topology.
-    ///
-    /// [`compile`]: crate::compile
+    /// Site/region names and link indices are checked at
+    /// [`Scenario::compile`] time against a concrete topology.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.name.is_empty() {
             return Err(ScenarioError::new("scenario name must not be empty"));
@@ -379,6 +385,19 @@ impl Scenario {
             .unwrap_or(10.0)
     }
 
+    /// The same script with every site failure that leaves `graceful`
+    /// unset turned into a silent crash: links drop without withdrawals
+    /// and neighbors discover the failure through their hold timers.
+    /// Failures that set `graceful` explicitly keep it.
+    pub fn crashed(mut self) -> Scenario {
+        for ev in &mut self.events {
+            if let ScenarioAction::SiteFail { graceful, .. } = &mut ev.action {
+                graceful.get_or_insert(false);
+            }
+        }
+        self
+    }
+
     /// The built-in baseline: the paper's hard-coded site failure,
     /// expressed as a scenario. `flaps` withdraw/re-announce cycles on a
     /// fixed 30 s cadence (down 10 s), then the site fails at
@@ -415,6 +434,7 @@ impl Scenario {
             action: ScenarioAction::React {
                 skip: 0,
                 stagger_s: None,
+                wrong_prefix: None,
             },
         });
         Scenario {
@@ -485,6 +505,34 @@ mod tests {
             s.events[5].action,
             ScenarioAction::React { skip: 0, .. }
         ));
+    }
+
+    #[test]
+    fn crashed_silences_only_unset_site_failures() {
+        let mut s = Scenario::site_failure(2.0, 1);
+        s.events.push(ScenarioEvent {
+            at_s: 20.0,
+            action: ScenarioAction::SiteFail {
+                site: "ams".into(),
+                graceful: Some(true),
+            },
+        });
+        let crashed = s.clone().crashed();
+        let modes = |s: &Scenario| -> Vec<Option<bool>> {
+            s.events
+                .iter()
+                .filter_map(|e| match e.action {
+                    ScenarioAction::SiteFail { graceful, .. } => Some(graceful),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(modes(&s), vec![None, Some(true)]);
+        assert_eq!(modes(&crashed), vec![Some(false), Some(true)]);
+        // Nothing else in the script changes.
+        assert_eq!(crashed.events.len(), s.events.len());
+        assert_eq!(crashed.events[..2], s.events[..2]);
+        assert_eq!(crashed.events[3..], s.events[3..]);
     }
 
     #[test]

@@ -390,7 +390,7 @@ fn serve_client(reader: &mut Conn, writer: &mut Conn, shared: &Shared) {
             } => {
                 let job = if cells.is_empty() {
                     Err("raw submission has no cells".into())
-                } else if let Err(e) = config.plan.validate() {
+                } else if let Err(e) = config.plan.validate(config.gen.sites.len()) {
                     Err(format!("bad address plan: {e}"))
                 } else {
                     Ok(ExpandedJob {

@@ -1,16 +1,20 @@
-//! Job specs: the JSON document `bobw submit` sends and its expansion
-//! into an `ExperimentConfig` plus a cell grid.
+//! Job specs: the request vocabulary shared by `bobw submit` and the
+//! `bobw` command line, and its expansion into an `ExperimentConfig` plus
+//! a cell grid.
 //!
 //! A spec names *what* to sweep (techniques × sites at a scale/seed,
 //! optionally under a fault scenario); the daemon expands it with exactly
 //! the enumeration the local runner uses — techniques major, sites minor,
 //! sites in testbed order — so a service job's outputs line up one-to-one
-//! with a local `--jobs 1` run of the same sweep.
+//! with a local `--jobs 1` run of the same sweep. [`build_config`] is the
+//! one path from a spec's config fields to an `ExperimentConfig`; the CLI
+//! fills a [`JobSpec`] from its flags and goes through it too.
 
 use std::path::Path;
 
-use bobw_core::{ExperimentConfig, FailureMode, SessionModel, Technique, TrafficConfig};
+use bobw_core::{ExperimentConfig, SessionModel, Technique, TrafficConfig};
 use bobw_dist::CellSpec;
+use bobw_scenario::Scenario;
 use serde::{Deserialize, Serialize};
 
 /// The submit document. Everything but `techniques` is optional.
@@ -27,7 +31,7 @@ use serde::{Deserialize, Serialize};
 ///   "scenario": "ddos-absorb-vs-shed"
 /// }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct JobSpec {
     /// Display name; defaults to a summary of the sweep.
     pub name: Option<String>,
@@ -39,7 +43,9 @@ pub struct JobSpec {
     pub techniques: Vec<String>,
     /// Site names to fail; omitted = every site of the topology.
     pub sites: Option<Vec<String>>,
-    /// `graceful` | `crash` (defaults to the config's failure mode).
+    /// `graceful` (default, the paper's §4 withdrawal) | `crash`: every
+    /// site failure the scenario leaves unspecified becomes a silent
+    /// crash ([`Scenario::crashed`]), in the built-in baseline too.
     pub failure: Option<String>,
     /// `on` | `off` (default off): the observational traffic layer.
     pub traffic: Option<String>,
@@ -48,6 +54,50 @@ pub struct JobSpec {
     /// `abstract` (default) | `message-level`: which BGP session model
     /// the cells run (see `bobw_core::SessionModel`).
     pub session: Option<String>,
+}
+
+/// Experiment scale: the topology size and probing window of a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// Small topology, shortened probing — seconds of wall time.
+    Quick,
+    /// The paper-reproduction scale.
+    Eval,
+    /// Double-size robustness check.
+    Large,
+}
+
+impl Scale {
+    /// Parses a scale name (`quick` | `eval` | `large`).
+    pub fn parse(name: &str) -> Result<Scale, String> {
+        match name {
+            "quick" => Ok(Scale::Quick),
+            "eval" => Ok(Scale::Eval),
+            "large" => Ok(Scale::Large),
+            other => Err(format!("unknown scale {other:?} (quick|eval|large)")),
+        }
+    }
+
+    /// The scale's name, as [`Scale::parse`] reads it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Eval => "eval",
+            Scale::Large => "large",
+        }
+    }
+
+    pub fn config(self, seed: u64) -> ExperimentConfig {
+        match self {
+            Scale::Quick => ExperimentConfig::quick(seed),
+            Scale::Eval => ExperimentConfig::eval(seed),
+            Scale::Large => {
+                let mut cfg = ExperimentConfig::eval(seed);
+                cfg.gen = bobw_topology::GenConfig::large();
+                cfg
+            }
+        }
+    }
 }
 
 /// A spec expanded against a concrete config: ready to queue.
@@ -60,7 +110,7 @@ pub struct ExpandedJob {
 
 /// Resolves a scenario reference: an existing file path wins, then
 /// `<catalog>/<name>.json`.
-fn resolve_scenario(reference: &str, catalog: &Path) -> Result<bobw_scenario::Scenario, String> {
+fn resolve_scenario(reference: &str, catalog: &Path) -> Result<Scenario, String> {
     let direct = Path::new(reference);
     if direct.is_file() {
         return bobw_scenario::load_file(direct);
@@ -75,35 +125,13 @@ fn resolve_scenario(reference: &str, catalog: &Path) -> Result<bobw_scenario::Sc
     ))
 }
 
-/// Parses and expands a spec JSON document. Validation is strict: unknown
-/// techniques, sites, scales, or scenario references are submit-time
-/// errors, not worker-time failures.
-pub fn expand_spec(spec_json: &str, catalog: &Path) -> Result<ExpandedJob, String> {
-    let spec: JobSpec =
-        serde_json::from_str_typed(spec_json).map_err(|e| format!("bad job spec: {e}"))?;
-    expand(&spec, catalog)
-}
-
-/// [`expand_spec`] for an already-parsed spec.
-pub fn expand(spec: &JobSpec, catalog: &Path) -> Result<ExpandedJob, String> {
-    let seed = spec.seed.unwrap_or(42);
-    let scale = spec.scale.as_deref().unwrap_or("quick");
-    let mut config = match scale {
-        "quick" => ExperimentConfig::quick(seed),
-        "eval" => ExperimentConfig::eval(seed),
-        "large" => {
-            let mut c = ExperimentConfig::eval(seed);
-            c.gen = bobw_topology::GenConfig::large();
-            c
-        }
-        other => return Err(format!("unknown scale {other:?} (quick|eval|large)")),
-    };
-    match spec.failure.as_deref() {
-        None => {}
-        Some("graceful") => config.failure_mode = FailureMode::GracefulWithdrawal,
-        Some("crash") => config.failure_mode = FailureMode::SilentCrash,
-        Some(other) => return Err(format!("unknown failure {other:?} (graceful|crash)")),
-    }
+/// Builds the experiment config a spec asks for: its `scale`, `seed`,
+/// `failure`, `traffic`, `session` and `scenario` (resolved against
+/// `catalog`, with the `damping-*` convention of
+/// [`ExperimentConfig::with_scenario`]). Unknown values are errors.
+pub fn build_config(spec: &JobSpec, catalog: &Path) -> Result<ExperimentConfig, String> {
+    let scale = Scale::parse(spec.scale.as_deref().unwrap_or("quick"))?;
+    let mut config = scale.config(spec.seed.unwrap_or(42));
     match spec.traffic.as_deref() {
         None | Some("off") => {}
         Some("on") => config.traffic = Some(TrafficConfig::default()),
@@ -120,12 +148,27 @@ pub fn expand(spec: &JobSpec, catalog: &Path) -> Result<ExpandedJob, String> {
     }
     if let Some(reference) = &spec.scenario {
         let scenario = resolve_scenario(reference, catalog)?;
-        scenario
-            .validate()
-            .map_err(|e| format!("scenario {reference:?}: {e}"))?;
-        config.scenario = Some(scenario);
+        config = config.with_scenario(scenario);
     }
+    match spec.failure.as_deref() {
+        None | Some("graceful") => {}
+        Some("crash") => config.scenario = Some(config.fault_script().crashed()),
+        Some(other) => return Err(format!("unknown failure {other:?} (graceful|crash)")),
+    }
+    config
+        .plan
+        .validate(config.gen.sites.len())
+        .map_err(|e| format!("bad address plan: {e}"))?;
+    Ok(config)
+}
 
+/// Parses and expands a spec JSON document. Validation is strict: unknown
+/// techniques, sites, scales, or scenario references are submit-time
+/// errors, not worker-time failures.
+pub fn expand_spec(spec_json: &str, catalog: &Path) -> Result<ExpandedJob, String> {
+    let spec: JobSpec =
+        serde_json::from_str_typed(spec_json).map_err(|e| format!("bad job spec: {e}"))?;
+    let config = build_config(&spec, catalog)?;
     if spec.techniques.is_empty() {
         return Err("job spec needs at least one technique".into());
     }
@@ -165,9 +208,11 @@ pub fn expand(spec: &JobSpec, catalog: &Path) -> Result<ExpandedJob, String> {
 
     let name = spec.name.clone().unwrap_or_else(|| {
         format!(
-            "{}t x {}s @{scale} seed {seed}",
+            "{}t x {}s @{} seed {}",
             spec.techniques.len(),
-            sites.len()
+            sites.len(),
+            spec.scale.as_deref().unwrap_or("quick"),
+            config.seed
         )
     });
     Ok(ExpandedJob {
@@ -273,6 +318,37 @@ mod tests {
         assert_eq!(job.config.session_model, SessionModel::Abstract);
         let json = r#"{"techniques": ["anycast"], "session": "telepathy"}"#;
         assert!(expand_spec(json, &c).unwrap_err().contains("session"));
+    }
+
+    #[test]
+    fn crash_silences_the_scenario_or_the_baseline() {
+        let c = catalog();
+        let job = expand_spec(r#"{"techniques": ["anycast"], "failure": "crash"}"#, &c).unwrap();
+        let baseline = Scenario::site_failure(2.0, 0);
+        assert_eq!(job.config.scenario, Some(baseline.clone().crashed()));
+        let job = expand_spec(r#"{"techniques": ["anycast"], "failure": "graceful"}"#, &c).unwrap();
+        assert_eq!(job.config.scenario, None);
+        let json =
+            r#"{"techniques": ["anycast"], "failure": "crash", "scenario": "double-failure"}"#;
+        let job = expand_spec(json, &c).unwrap();
+        let scenario = resolve_scenario("double-failure", &c).unwrap();
+        assert_ne!(scenario, scenario.clone().crashed());
+        assert_eq!(job.config.scenario, Some(scenario.crashed()));
+        let json = r#"{"techniques": ["anycast"], "failure": "meltdown"}"#;
+        assert!(expand_spec(json, &c)
+            .unwrap_err()
+            .contains("unknown failure \"meltdown\""));
+    }
+
+    #[test]
+    fn damping_scenarios_turn_damping_on() {
+        let c = catalog();
+        let json = r#"{"techniques": ["anycast"], "scenario": "damping-session-reset"}"#;
+        let job = expand_spec(json, &c).unwrap();
+        assert!(job.config.timing.flap_damping.is_some());
+        let json = r#"{"techniques": ["anycast"], "scenario": "session-reset"}"#;
+        let job = expand_spec(json, &c).unwrap();
+        assert!(job.config.timing.flap_damping.is_none());
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //!   persists jobs across restarts.
 //! * [`proto`] — the client half of the wire protocol (submit, watch,
 //!   jobs, status, matrix, quit) on the same framed codec.
-//! * [`job`] — the JSON job spec and its expansion into the exact cell
-//!   grid the local runner would enumerate — service results are
-//!   byte-identical to a local `--jobs 1` run.
+//! * [`job`] — the JSON job spec, the one builder that turns its
+//!   request fields into an experiment config (the `bobw` command line
+//!   goes through it too), and its expansion into the exact cell grid the
+//!   local runner would enumerate — service results are byte-identical
+//!   to a local `--jobs 1` run.
 //! * [`client`] — [`ServeClient`], the typed connection the CLI
 //!   subcommands and the bench runner's `daemon:` dispatch use.
 //! * [`matrix`] — the pooled resilience matrix over completed jobs.
@@ -37,6 +39,6 @@ pub mod proto;
 
 pub use client::ServeClient;
 pub use daemon::{run, start, DaemonHandle, ServeConfig, StatusSnapshot};
-pub use job::{expand_spec, ExpandedJob, JobRow, JobSpec};
+pub use job::{build_config, expand_spec, ExpandedJob, JobRow, JobSpec, Scale};
 pub use matrix::{MatrixCell, ResilienceMatrix};
 pub use proto::{ClientReply, ClientRequest, JobState, JobTask};

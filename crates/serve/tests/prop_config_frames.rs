@@ -6,9 +6,10 @@
 //! config behind; in a batch, the worker's fingerprint check then refuses
 //! it unless it is the very config that was sent.
 
-use bobw_core::{ExperimentConfig, FailureMode, ReactionFault, SessionModel};
+use bobw_core::{ExperimentConfig, SessionModel};
 use bobw_dist::wire::{decode_exact, encode_vec, Wire, WireError};
 use bobw_dist::{config_fingerprint, CellSpec, ToWorker};
+use bobw_scenario::{Scenario, ScenarioAction};
 use bobw_serve::ClientRequest;
 use proptest::prelude::*;
 
@@ -20,13 +21,26 @@ fn config(seed: u64, knobs: u8) -> ExperimentConfig {
         cfg.timing.flap_damping = Some(Default::default());
         cfg.timing.mrai_min_s *= 0.25;
     }
-    if knobs & 2 != 0 {
-        cfg.failure_mode = FailureMode::SilentCrash;
-        cfg.reaction_fault = Some(ReactionFault::SkipSites(3));
-    }
     if knobs & 4 != 0 {
-        cfg.scenario = Some(bobw_scenario::Scenario::site_failure(2.5, 1));
+        cfg.scenario = Some(Scenario::site_failure(2.5, 1));
         cfg.session_model = SessionModel::MessageLevel;
+    }
+    if knobs & 2 != 0 {
+        // A silent crash and a botched reaction, as a scenario scripts them.
+        let mut scenario = cfg
+            .scenario
+            .take()
+            .unwrap_or_else(|| Scenario::site_failure(2.0, 0))
+            .crashed();
+        for ev in &mut scenario.events {
+            if let ScenarioAction::React {
+                skip, wrong_prefix, ..
+            } = &mut ev.action
+            {
+                (*skip, *wrong_prefix) = (3, Some(true));
+            }
+        }
+        cfg.scenario = Some(scenario);
     }
     if knobs & 8 != 0 {
         cfg.traffic = Some(Default::default());
@@ -130,6 +144,30 @@ fn maximal_length_prefix_is_oversized() {
             receive(submit, &evil).unwrap_err(),
             WireError::Oversized(u64::MAX)
         );
+    }
+}
+
+/// A config carrying a field this build does not know — the pre-v8
+/// `failure_mode` a queued crash job may still carry — is refused in both
+/// frames: dropping the field would run the job as a graceful failure.
+#[test]
+fn unknown_config_fields_are_invalid() {
+    for knobs in 0..16 {
+        for submit in [false, true] {
+            let json = serde_json::to_string(&config(7, knobs)).unwrap();
+            let stale = json.replacen(
+                r#""scenario":"#,
+                r#""failure_mode":"SilentCrash","scenario":"#,
+                1,
+            );
+            assert_ne!(stale, json);
+            let err = receive(
+                submit,
+                &frame(submit, 0, stale.as_bytes(), stale.len() as u64),
+            )
+            .unwrap_err();
+            assert_eq!(err, WireError::Invalid("non-canonical config"));
+        }
     }
 }
 

@@ -472,6 +472,45 @@ fn spec_submission_expands_and_runs() {
     worker.join().unwrap();
 }
 
+/// `"scenario": "damping-session-reset"` runs with route-flap damping on,
+/// as the `scenarios` bin and `bobw scenario run` run that catalog entry:
+/// the served cell equals a local run of that config and differs from one
+/// without damping.
+#[test]
+fn damping_scenario_spec_runs_with_damping() {
+    let _guard = serial();
+    let handle = daemon::start(open_serve_config()).expect("daemon");
+    let endpoint = handle.endpoint().clone();
+    let worker = spawn_worker(&endpoint, "damping-w", 1);
+    let mut client = ServeClient::connect(&endpoint, "damping-test", None).expect("client");
+
+    let scenario = bobw_scenario::load_file(std::path::Path::new(
+        "../../scenarios/damping-session-reset.json",
+    ))
+    .unwrap();
+    let mut undamped = ExperimentConfig::quick(42);
+    undamped.scenario = Some(scenario);
+    let mut damped = undamped.clone();
+    damped.timing.flap_damping = Some(Default::default());
+    let cells = vec![CellSpec::Failover {
+        technique: "reactive-anycast".into(),
+        site: "bos".into(),
+    }];
+    let expected = local_baseline(&damped, &cells);
+    assert_ne!(expected, local_baseline(&undamped, &cells));
+
+    let spec = r#"{"techniques": ["reactive-anycast"], "sites": ["bos"],
+                   "scenario": "damping-session-reset"}"#;
+    let job_id = client.submit_spec(spec).expect("submit spec");
+    let (outputs, state) = collect_watch(&mut client, job_id, 1);
+    assert_eq!(state, JobState::Done);
+    assert_eq!(results_json(&outputs), expected);
+
+    client.quit().expect("quit");
+    handle.join();
+    worker.join().unwrap();
+}
+
 /// A raw submission whose address plan is inconsistent would fail every
 /// cell on a worker; the daemon refuses it at submit, with the reason, and
 /// keeps answering.
@@ -491,6 +530,15 @@ fn bad_address_plan_is_rejected_at_submit() {
         .submit_raw("bad-plan", &cfg, &cells)
         .expect_err("a bad plan must be rejected");
     assert!(err.contains("covering prefix must cover"), "{err}");
+    // Site blocks without one /24 per site: too small, and below a /24.
+    for block in ["184.164.232.0/22", "184.164.232.0/25"] {
+        let mut cfg = test_config();
+        cfg.plan.site_block = block.parse().unwrap();
+        let err = client
+            .submit_raw("small-block", &cfg, &cells)
+            .expect_err("a block too small for the sites must be rejected");
+        assert!(err.contains("one /24 for each of the 8 sites"), "{err}");
+    }
     assert!(client.jobs().expect("jobs").is_empty());
     client.status_json().expect("the daemon still answers");
 

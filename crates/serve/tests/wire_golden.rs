@@ -14,7 +14,7 @@ use bobw_topology::SiteId;
 
 fn hello() -> Hello {
     Hello {
-        protocol: 7,
+        protocol: 8,
         fingerprint: 0x0123_4567_89ab_cdef,
         worker_name: "w1".into(),
         capacity: 2,
@@ -24,7 +24,7 @@ fn hello() -> Hello {
 
 fn client_hello() -> ClientHello {
     ClientHello {
-        protocol: 7,
+        protocol: 8,
         client_name: "cli".into(),
         auth: Vec::new(),
     }
@@ -226,10 +226,10 @@ fn cases() -> Vec<(&'static str, Vec<u8>)> {
 
 /// `(message, hex of its encoding)`, in the order of [`cases`].
 const GOLDEN: &[(&str, &str)] = &[
-    ("Hello", "07000000efcdab896745230102000000000000007731020000000200000000000000aabb"),
+    ("Hello", "08000000efcdab896745230102000000000000007731020000000200000000000000aabb"),
     ("Challenge", "030000000000000001020301"),
-    ("Greeting::Worker", "0000000007000000efcdab896745230102000000000000007731020000000200000000000000aabb"),
-    ("Greeting::Client", "01000000070000000300000000000000636c690000000000000000"),
+    ("Greeting::Worker", "0000000008000000efcdab896745230102000000000000007731020000000200000000000000aabb"),
+    ("Greeting::Client", "01000000080000000300000000000000636c690000000000000000"),
     ("HelloReply::Welcome", "00000000"),
     ("HelloReply::Rejected", "0100000002000000000000006e6f"),
     ("CellSpec::Failover", "000000000700000000000000616e79636173740300000000000000626f73"),

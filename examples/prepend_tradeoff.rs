@@ -23,7 +23,7 @@ fn main() {
     let prepend_counts = [1u8, 3, 5, 7];
     for site_name in ["sea1", "sea2"] {
         let site = testbed.site(site_name);
-        let r = measure_control(&testbed, site, &prepend_counts);
+        let (r, _) = measure_control(&testbed, site, &prepend_counts);
         println!(
             "{site_name}: {:.0}% of nearby clients are NOT anycast-routed to it; steerable with:",
             r.frac_not_anycast_routed * 100.0
