@@ -18,7 +18,7 @@ use bobw_measure::{
     estimate_event_time, per_peer_convergence, per_peer_propagation, pick_collector_peers,
     Collector,
 };
-use bobw_net::Prefix;
+use bobw_net::{PathTable, Prefix};
 use bobw_topology::{attach_origin, generate, OriginProfile};
 use serde::Serialize;
 
@@ -46,7 +46,8 @@ fn study_prefix() -> Prefix {
 /// profile across `instances` independently generated Internets, fanned
 /// over `jobs` runner threads, plus per-instance perf counters. Instances
 /// are folded in index order, so the output is identical for any `jobs`
-/// value.
+/// value. Each instance interns its AS paths in a [`PathTable::scope`] of
+/// its own.
 pub fn withdrawal_convergence_instrumented(
     cfg: &ExperimentConfig,
     timing: &BgpTimingConfig,
@@ -61,48 +62,50 @@ pub fn withdrawal_convergence_instrumented(
     // cells needed (relaxed atomics — the hint is approximate by design).
     let queue_hint = AtomicUsize::new(0);
     let per_instance = crate::runner::run_cells(&idx, jobs, |_, &i| {
-        let wall_start = std::time::Instant::now();
-        let rng = RngFactory::new(cfg.seed).derive("fig3", i as u64);
-        let (mut topo, _cdn) = generate(&cfg.gen, &rng);
-        let origin = attach_origin(&mut topo, profile, &rng, i as u64);
-        let peers = pick_collector_peers(&topo, COLLECTOR_STRIDE);
-        let collector = Collector::new(peers, &rng);
+        PathTable::scope(|| {
+            let wall_start = std::time::Instant::now();
+            let rng = RngFactory::new(cfg.seed).derive("fig3", i as u64);
+            let (mut topo, _cdn) = generate(&cfg.gen, &rng);
+            let origin = attach_origin(&mut topo, profile, &rng, i as u64);
+            let peers = pick_collector_peers(&topo, COLLECTOR_STRIDE);
+            let collector = Collector::new(peers, &rng);
 
-        let mut sim = Standalone::with_queue_capacity(
-            &topo,
-            timing.clone(),
-            &rng,
-            queue_hint.load(Ordering::Relaxed),
-        );
-        sim.announce(origin, prefix, OriginConfig::plain());
-        sim.run_to_idle(cfg.max_events);
-        sim.sim_mut().set_record_history(true);
-        let t_withdraw = sim.now();
-        sim.withdraw(origin, prefix);
-        sim.run_to_idle(cfg.max_events);
+            let mut sim = Standalone::with_queue_capacity(
+                &topo,
+                timing.clone(),
+                &rng,
+                queue_hint.load(Ordering::Relaxed),
+            );
+            sim.announce(origin, prefix, OriginConfig::plain());
+            sim.run_to_idle(cfg.max_events);
+            sim.sim_mut().set_record_history(true);
+            let t_withdraw = sim.now();
+            sim.withdraw(origin, prefix);
+            sim.run_to_idle(cfg.max_events);
 
-        let feed = collector.feed(sim.sim().history(), prefix);
-        // The paper estimates the withdrawal instant from the update burst
-        // because it lacks ground truth for hypergiants; the simulator has
-        // ground truth (as the paper does for its own PEERING events), so
-        // convergence is measured from the true instant and the estimator
-        // is validated on the side. In our denser-multihomed topologies the
-        // burst estimator runs late (withdrawals only surface once path
-        // exploration exhausts) — see EXPERIMENTS.md.
-        let error = estimate_event_time(&feed, true)
-            .map(|est| (est.as_nanos() as f64 - t_withdraw.as_nanos() as f64).abs() / 1e9);
-        let samples: Vec<f64> = per_peer_convergence(&feed, t_withdraw)
-            .into_iter()
-            .map(|(_, d)| d.as_secs_f64())
-            .collect();
-        queue_hint.fetch_max(sim.peak_queue_depth(), Ordering::Relaxed);
-        let perf = CellPerf {
-            events_processed: sim.events_processed(),
-            peak_queue_depth: sim.peak_queue_depth(),
-            queue_capacity: sim.queue_capacity(),
-            wall_micros: wall_start.elapsed().as_micros() as u64,
-        };
-        (samples, error, perf)
+            let feed = collector.feed(sim.sim().history(), prefix);
+            // The paper estimates the withdrawal instant from the update burst
+            // because it lacks ground truth for hypergiants; the simulator has
+            // ground truth (as the paper does for its own PEERING events), so
+            // convergence is measured from the true instant and the estimator
+            // is validated on the side. In our denser-multihomed topologies the
+            // burst estimator runs late (withdrawals only surface once path
+            // exploration exhausts) — see EXPERIMENTS.md.
+            let error = estimate_event_time(&feed, true)
+                .map(|est| (est.as_nanos() as f64 - t_withdraw.as_nanos() as f64).abs() / 1e9);
+            let samples: Vec<f64> = per_peer_convergence(&feed, t_withdraw)
+                .into_iter()
+                .map(|(_, d)| d.as_secs_f64())
+                .collect();
+            queue_hint.fetch_max(sim.peak_queue_depth(), Ordering::Relaxed);
+            let perf = CellPerf {
+                events_processed: sim.events_processed(),
+                peak_queue_depth: sim.peak_queue_depth(),
+                queue_capacity: sim.queue_capacity(),
+                wall_micros: wall_start.elapsed().as_micros() as u64,
+            };
+            (samples, error, perf)
+        })
     });
 
     let mut samples = Vec::new();
@@ -132,7 +135,8 @@ pub fn withdrawal_convergence_instrumented(
 /// models the paper's own PEERING announcements. The instance loop is
 /// fanned over `jobs` runner threads and folded in index order, so the
 /// output is identical for any `jobs` value; per-instance perf counters
-/// ride along.
+/// ride along. Each instance interns its AS paths in a
+/// [`PathTable::scope`] of its own.
 pub fn announcement_propagation_instrumented(
     cfg: &ExperimentConfig,
     timing: &BgpTimingConfig,
@@ -146,47 +150,49 @@ pub fn announcement_propagation_instrumented(
     // See fig3: cross-instance queue high-water-mark feedback.
     let queue_hint = AtomicUsize::new(0);
     let per_instance = crate::runner::run_cells(&idx, jobs, |_, &i| {
-        let wall_start = std::time::Instant::now();
-        let rng = RngFactory::new(cfg.seed).derive("fig4", i as u64);
-        let (mut topo, _cdn) = generate(&cfg.gen, &rng);
-        let origins: Vec<_> = (0..origins_per_instance)
-            .map(|k| attach_origin(&mut topo, profile, &rng, (i * 64 + k) as u64))
-            .collect();
-        let peers = pick_collector_peers(&topo, COLLECTOR_STRIDE);
-        let collector = Collector::new(peers, &rng);
+        PathTable::scope(|| {
+            let wall_start = std::time::Instant::now();
+            let rng = RngFactory::new(cfg.seed).derive("fig4", i as u64);
+            let (mut topo, _cdn) = generate(&cfg.gen, &rng);
+            let origins: Vec<_> = (0..origins_per_instance)
+                .map(|k| attach_origin(&mut topo, profile, &rng, (i * 64 + k) as u64))
+                .collect();
+            let peers = pick_collector_peers(&topo, COLLECTOR_STRIDE);
+            let collector = Collector::new(peers, &rng);
 
-        let mut sim = Standalone::with_queue_capacity(
-            &topo,
-            timing.clone(),
-            &rng,
-            queue_hint.load(Ordering::Relaxed),
-        );
-        sim.sim_mut().set_record_history(true);
-        let t_announce = sim.now();
-        for o in &origins {
-            sim.announce(*o, prefix, OriginConfig::plain());
-        }
-        sim.run_to_idle(cfg.max_events);
+            let mut sim = Standalone::with_queue_capacity(
+                &topo,
+                timing.clone(),
+                &rng,
+                queue_hint.load(Ordering::Relaxed),
+            );
+            sim.sim_mut().set_record_history(true);
+            let t_announce = sim.now();
+            for o in &origins {
+                sim.announce(*o, prefix, OriginConfig::plain());
+            }
+            sim.run_to_idle(cfg.max_events);
 
-        let feed = collector.feed(sim.sim().history(), prefix);
-        // Propagation measured from the true announcement instant; the
-        // burst estimator (which the paper must rely on) is validated
-        // separately — for fresh announcements it is accurate, because the
-        // first updates cluster tightly.
-        let error = estimate_event_time(&feed, false)
-            .map(|est| (est.as_nanos() as f64 - t_announce.as_nanos() as f64).abs() / 1e9);
-        let samples: Vec<f64> = per_peer_propagation(&feed, t_announce)
-            .into_iter()
-            .map(|(_, d)| d.as_secs_f64())
-            .collect();
-        queue_hint.fetch_max(sim.peak_queue_depth(), Ordering::Relaxed);
-        let perf = CellPerf {
-            events_processed: sim.events_processed(),
-            peak_queue_depth: sim.peak_queue_depth(),
-            queue_capacity: sim.queue_capacity(),
-            wall_micros: wall_start.elapsed().as_micros() as u64,
-        };
-        (samples, error, perf)
+            let feed = collector.feed(sim.sim().history(), prefix);
+            // Propagation measured from the true announcement instant; the
+            // burst estimator (which the paper must rely on) is validated
+            // separately — for fresh announcements it is accurate, because the
+            // first updates cluster tightly.
+            let error = estimate_event_time(&feed, false)
+                .map(|est| (est.as_nanos() as f64 - t_announce.as_nanos() as f64).abs() / 1e9);
+            let samples: Vec<f64> = per_peer_propagation(&feed, t_announce)
+                .into_iter()
+                .map(|(_, d)| d.as_secs_f64())
+                .collect();
+            queue_hint.fetch_max(sim.peak_queue_depth(), Ordering::Relaxed);
+            let perf = CellPerf {
+                events_processed: sim.events_processed(),
+                peak_queue_depth: sim.peak_queue_depth(),
+                queue_capacity: sim.queue_capacity(),
+                wall_micros: wall_start.elapsed().as_micros() as u64,
+            };
+            (samples, error, perf)
+        })
     });
 
     let mut samples = Vec::new();

@@ -9,7 +9,7 @@
 use bobw_bgp::{OriginConfig, Standalone};
 use bobw_dataplane::{catchment, rtt_to_site, ForwardEnv};
 use bobw_event::SimDuration;
-use bobw_net::NodeId;
+use bobw_net::{NodeId, PathTable};
 use bobw_topology::SiteId;
 use serde::{Deserialize, Serialize};
 
@@ -35,8 +35,17 @@ pub struct ControlResult {
 /// the cell's perf counters (event count, peak queue depth, wall time) —
 /// the control-cell analogue of [`run_failover`](crate::run_failover), so
 /// Table 1 cells show up in `PerfLog` and can be dispatched to
-/// distributed workers.
+/// distributed workers. The cell interns its AS paths in a
+/// [`PathTable::scope`] of its own.
 pub fn measure_control(
+    testbed: &Testbed,
+    site: SiteId,
+    prepend_counts: &[u8],
+) -> (ControlResult, CellPerf) {
+    PathTable::scope(|| control_cell(testbed, site, prepend_counts))
+}
+
+fn control_cell(
     testbed: &Testbed,
     site: SiteId,
     prepend_counts: &[u8],

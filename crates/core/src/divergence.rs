@@ -13,7 +13,7 @@
 
 use bobw_bgp::{OriginConfig, Standalone};
 use bobw_dataplane::{walk_with_path, ForwardEnv};
-use bobw_net::NodeId;
+use bobw_net::{NodeId, PathTable};
 use bobw_topology::{Rel, SiteId};
 use serde::{Deserialize, Serialize};
 
@@ -72,8 +72,13 @@ fn rel_rank(rel: Rel) -> u8 {
 
 /// Runs the C.1 experiment for `site`: `rtt_probe` doubles as the unicast
 /// prefix `u`; `specific` plays `a5` with the backups prepending
-/// `prepends` (paper: 5) times.
+/// `prepends` (paper: 5) times. Like every cell, it interns its AS paths
+/// in a [`PathTable::scope`] of its own.
 pub fn analyze_divergence(testbed: &Testbed, site: SiteId, prepends: u8) -> DivergenceReport {
+    PathTable::scope(|| divergence_cell(testbed, site, prepends))
+}
+
+fn divergence_cell(testbed: &Testbed, site: SiteId, prepends: u8) -> DivergenceReport {
     let cfg = &testbed.cfg;
     let topo = &testbed.topo;
     let cdn = &testbed.cdn;

@@ -21,7 +21,7 @@ use bobw_dataplane::{walk, ForwardEnv, ProbeConfig};
 use bobw_dns::{Authoritative, OVERSHOOT_MEDIAN_S, OVERSHOOT_SIGMA};
 use bobw_event::rng::lognormal;
 use bobw_event::{Engine, Handler, RngFactory, Scheduler, SimDuration, SimTime};
-use bobw_net::NodeId;
+use bobw_net::{NodeId, PathTable};
 use bobw_scenario::{FaultOp, Scenario};
 use bobw_topology::{generate, CdnDeployment, GenConfig, SiteId, Topology};
 use bobw_traffic::{Steering, Surge, TrafficConfig, TrafficSim, TrafficSummary};
@@ -689,13 +689,15 @@ impl CellPerf {
 /// Runs one failover experiment (see the module docs for the protocol) and
 /// returns its result with the cell's perf counters (event count, peak
 /// queue depth, wall time). A scenario that does not compile against the
-/// testbed is an error, not a panic.
+/// testbed is an error, not a panic. The cell interns its AS paths in a
+/// [`PathTable::scope`] of its own.
 pub fn run_failover(
     testbed: &Testbed,
     technique: &Technique,
     failed: SiteId,
 ) -> Result<(FailoverResult, CellPerf), String> {
-    run_cell(testbed, technique, failed).map(|(result, perf, _)| (result, perf))
+    PathTable::scope(|| run_cell(testbed, technique, failed))
+        .map(|(result, perf, _)| (result, perf))
 }
 
 /// The cell itself, plus the probe plane's work counts (deterministic, but

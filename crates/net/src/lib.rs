@@ -13,7 +13,8 @@
 //!   rather than being hand-coded.
 //! * [`Asn`], [`AsPath`] — AS numbers and AS paths with prepending and
 //!   loop detection, the currency of the BGP decision process. Paths are
-//!   interned in a thread-local [`PathTable`] so they copy as a handle.
+//!   interned in a [`PathTable`] that lives for one cell, so they copy as a
+//!   handle.
 //! * [`NodeId`] — a dense index for topology nodes (one per AS, plus one per
 //!   CDN site, plus one per route collector).
 //!

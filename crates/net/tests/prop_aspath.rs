@@ -1,8 +1,9 @@
 //! Property tests of AS-path interning: every [`AsPath`] operation must
 //! agree with a plain `Vec<Asn>` reference model, so the interned handles
-//! are observationally identical to the historic owned-hops representation.
+//! are observationally identical to the historic owned-hops representation,
+//! also across nested table scopes.
 
-use bobw_net::{AsPath, Asn};
+use bobw_net::{AsPath, Asn, PathTable};
 use proptest::prelude::*;
 
 /// The reference model: owned hops, nearest first.
@@ -80,6 +81,59 @@ proptest! {
         }
         // Replaying the same composition must intern to the same handle.
         prop_assert_eq!(path, AsPath::from_hops(&expect));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Nested scopes: each inner table starts holding only the empty path
+    /// and matches the reference model on its own; when it ends, handles
+    /// minted in the outer scope resolve to the same hops as before and
+    /// still compose like the model.
+    #[test]
+    fn outer_handles_survive_nested_scopes(
+        outer in proptest::collection::vec(arb_hops(), 1..6),
+        inner in proptest::collection::vec(arb_hops(), 0..6),
+        innermost in proptest::collection::vec(arb_hops(), 0..4),
+        asn in (1u32..32).prop_map(Asn),
+    ) {
+        PathTable::scope(|| -> Result<(), TestCaseError> {
+            let handles: Vec<AsPath> = outer.iter().map(|h| AsPath::from_hops(h)).collect();
+            let outer_len = PathTable::with(|t| t.len());
+
+            PathTable::scope(|| -> Result<(), TestCaseError> {
+                prop_assert_eq!(PathTable::with(|t| t.len()), 1);
+                // Interned in another order, so ids differ from the outer
+                // table's for the same sequences.
+                let inner_handles: Vec<AsPath> =
+                    inner.iter().rev().map(|h| AsPath::from_hops(h)).collect();
+                PathTable::scope(|| -> Result<(), TestCaseError> {
+                    prop_assert_eq!(PathTable::with(|t| t.len()), 1);
+                    for hops in &innermost {
+                        let p = AsPath::from_hops(hops).prepended(asn, 1);
+                        let mut expect = hops.clone();
+                        expect.insert(0, asn);
+                        prop_assert_eq!(p.hops(), expect);
+                    }
+                    Ok(())
+                })?;
+                for (p, hops) in inner_handles.iter().zip(inner.iter().rev()) {
+                    prop_assert_eq!(p.hops(), hops.clone());
+                }
+                Ok(())
+            })?;
+
+            prop_assert_eq!(PathTable::with(|t| t.len()), outer_len);
+            for (p, hops) in handles.iter().zip(&outer) {
+                prop_assert_eq!(p.hops(), hops.clone());
+                prop_assert_eq!(p.len(), hops.len());
+                let mut expect = hops.clone();
+                expect.insert(0, asn);
+                prop_assert_eq!(p.prepended(asn, 1).hops(), expect);
+            }
+            Ok(())
+        })?;
     }
 }
 
