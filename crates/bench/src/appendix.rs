@@ -9,8 +9,6 @@
 //! Internet; the estimation pipeline (burst detection, per-peer
 //! convergence/propagation) is identical to the paper's.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use bobw_bgp::{BgpTimingConfig, OriginConfig, Standalone};
 use bobw_core::{CellPerf, ExperimentConfig};
 use bobw_event::RngFactory;
@@ -57,10 +55,6 @@ pub fn withdrawal_convergence_instrumented(
 ) -> (StudyOutput, Vec<CellPerf>) {
     let prefix = study_prefix();
     let idx: Vec<usize> = (0..instances).collect();
-    // Monotone high-water-mark feedback across instances, same as the
-    // experiment loop's queue hint: later cells preallocate what earlier
-    // cells needed (relaxed atomics — the hint is approximate by design).
-    let queue_hint = AtomicUsize::new(0);
     let per_instance = crate::runner::run_cells(&idx, jobs, |_, &i| {
         PathTable::scope(|| {
             let wall_start = std::time::Instant::now();
@@ -70,12 +64,7 @@ pub fn withdrawal_convergence_instrumented(
             let peers = pick_collector_peers(&topo, COLLECTOR_STRIDE);
             let collector = Collector::new(peers, &rng);
 
-            let mut sim = Standalone::with_queue_capacity(
-                &topo,
-                timing.clone(),
-                &rng,
-                queue_hint.load(Ordering::Relaxed),
-            );
+            let mut sim = Standalone::new(&topo, timing.clone(), &rng);
             sim.announce(origin, prefix, OriginConfig::plain());
             sim.run_to_idle(cfg.max_events);
             sim.sim_mut().set_record_history(true);
@@ -97,7 +86,6 @@ pub fn withdrawal_convergence_instrumented(
                 .into_iter()
                 .map(|(_, d)| d.as_secs_f64())
                 .collect();
-            queue_hint.fetch_max(sim.peak_queue_depth(), Ordering::Relaxed);
             let perf = CellPerf {
                 events_processed: sim.events_processed(),
                 peak_queue_depth: sim.peak_queue_depth(),
@@ -147,8 +135,6 @@ pub fn announcement_propagation_instrumented(
 ) -> (StudyOutput, Vec<CellPerf>) {
     let prefix = study_prefix();
     let idx: Vec<usize> = (0..instances).collect();
-    // See fig3: cross-instance queue high-water-mark feedback.
-    let queue_hint = AtomicUsize::new(0);
     let per_instance = crate::runner::run_cells(&idx, jobs, |_, &i| {
         PathTable::scope(|| {
             let wall_start = std::time::Instant::now();
@@ -160,12 +146,7 @@ pub fn announcement_propagation_instrumented(
             let peers = pick_collector_peers(&topo, COLLECTOR_STRIDE);
             let collector = Collector::new(peers, &rng);
 
-            let mut sim = Standalone::with_queue_capacity(
-                &topo,
-                timing.clone(),
-                &rng,
-                queue_hint.load(Ordering::Relaxed),
-            );
+            let mut sim = Standalone::new(&topo, timing.clone(), &rng);
             sim.sim_mut().set_record_history(true);
             let t_announce = sim.now();
             for o in &origins {
@@ -184,7 +165,6 @@ pub fn announcement_propagation_instrumented(
                 .into_iter()
                 .map(|(_, d)| d.as_secs_f64())
                 .collect();
-            queue_hint.fetch_max(sim.peak_queue_depth(), Ordering::Relaxed);
             let perf = CellPerf {
                 events_processed: sim.events_processed(),
                 peak_queue_depth: sim.peak_queue_depth(),

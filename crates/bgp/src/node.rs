@@ -12,11 +12,17 @@
 //!
 //! Everything on the per-message hot path is integer-indexed. The RIB is a
 //! [`FlatRib`]: prefixes intern to dense ids, candidates live in a slice
-//! sorted by neighbor index, the Loc-RIB is a parallel slot. The
-//! per-neighbor send machinery (`last_announce` / `last_sent` / pending)
-//! is a flat `Vec<SendState>` indexed by prefix id — receiving one update
-//! and re-exporting it to a neighbor does zero hash lookups. The only maps
-//! left key *rare* state: flap damping (off by default) and origination.
+//! sorted by neighbor index, the Loc-RIB is a parallel slot. The send
+//! machinery (`last_announce` / `last_sent` / the pending message and its
+//! generation) is one flat table per node, slot `pidx × neighbors + idx`:
+//! one allocation per node instead of one per session, grown a prefix row
+//! at a time, and a session's teardown, expiry or restore touches only its
+//! column. A slot is 56 bytes in a release build: `last_announce` is plain
+//! nanoseconds with a "never" sentinel and a pending generation of 0 means
+//! "nothing pending", so neither needs an `Option` tag. Receiving one
+//! update and re-exporting it to a neighbor does zero hash lookups. The
+//! only maps left key *rare* state: flap damping (off by default) and
+//! origination.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
@@ -32,24 +38,83 @@ use crate::rib::{cmp_selected, FlatRib, TieKey, SELF_TIE_KEY};
 use crate::route::{BgpEvent, Emitted, Message, NextHop, RouteAttrs, Selected, WireRoute};
 use crate::timing::BgpTimingConfig;
 
-/// Per-⟨neighbor, prefix⟩ send state, indexed by the node's dense prefix id.
-#[derive(Debug, Clone, Copy, Default)]
-struct SendState {
-    /// Last time an *announcement* for the prefix was put on the wire.
-    last_announce: Option<SimTime>,
+/// Per-⟨prefix, neighbor⟩ send state: one cell of a node's [`SendTable`].
+#[derive(Debug, Clone, Copy)]
+struct SendSlot {
+    /// Last time (ns) an *announcement* for the prefix was put on the wire;
+    /// [`NEVER`] if none has been since the session (re)started.
+    last_announce: u64,
+    /// Generation of the coalesced message awaiting its send timer, which
+    /// guards against superseded `Fire` events; 0 means nothing is pending
+    /// (generations start at 1).
+    pending_gen: u64,
     /// What this neighbor currently believes we advertised (`None` =
     /// withdrawn or never announced).
     last_sent: Option<WireRoute>,
-    /// Coalesced outgoing message awaiting its send timer.
-    pending: Option<Pending>,
+    /// The pending message when `pending_gen != 0`: `Some` = update,
+    /// `None` = withdraw.
+    pending_msg: Option<WireRoute>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    /// `Some` = update, `None` = withdraw.
-    msg: Option<WireRoute>,
-    /// Guard against superseded `Fire` events.
-    gen: u64,
+/// `last_announce` of a slot that has never announced.
+const NEVER: u64 = u64::MAX;
+
+impl SendSlot {
+    const EMPTY: SendSlot = SendSlot {
+        last_announce: NEVER,
+        pending_gen: 0,
+        last_sent: None,
+        pending_msg: None,
+    };
+
+    fn is_pending(&self) -> bool {
+        self.pending_gen != 0
+    }
+
+    fn cancel(&mut self) {
+        self.pending_gen = 0;
+        self.pending_msg = None;
+    }
+}
+
+/// A node's send state for every ⟨prefix, neighbor⟩ pair in one flat
+/// allocation, row-major by prefix id: slot `pidx × neighbors + idx`.
+/// Rows are added one prefix at a time as exports first touch a prefix.
+#[derive(Debug)]
+struct SendTable {
+    /// Slots per row: the node's neighbor count.
+    neighbors: usize,
+    slots: Vec<SendSlot>,
+}
+
+impl SendTable {
+    fn new(neighbors: usize) -> SendTable {
+        SendTable {
+            neighbors,
+            slots: Vec::new(),
+        }
+    }
+
+    /// The slot of neighbor `idx` for prefix id `pidx`, adding default rows
+    /// up to `pidx` first.
+    fn slot_mut(&mut self, pidx: usize, idx: usize) -> &mut SendSlot {
+        let need = (pidx + 1) * self.neighbors;
+        if self.slots.len() < need {
+            self.slots.reserve_exact(need - self.slots.len());
+            self.slots.resize(need, SendSlot::EMPTY);
+        }
+        &mut self.slots[pidx * self.neighbors + idx]
+    }
+
+    /// The slot, if its row exists.
+    fn get_mut(&mut self, pidx: usize, idx: usize) -> Option<&mut SendSlot> {
+        self.slots.get_mut(pidx * self.neighbors + idx)
+    }
+
+    /// Neighbor `idx`'s column: its slot in every row.
+    fn column_mut(&mut self, idx: usize) -> impl Iterator<Item = &mut SendSlot> + '_ {
+        self.slots.iter_mut().skip(idx).step_by(self.neighbors)
+    }
 }
 
 /// Per-neighbor session state.
@@ -72,18 +137,6 @@ pub struct NeighborState {
     /// The message-level model splits them: graceful restart and half-open
     /// sessions lose the control plane while packets keep flowing.
     fwd_up: bool,
-    /// Send state per prefix id, grown on demand.
-    send: Vec<SendState>,
-}
-
-impl NeighborState {
-    /// The send slot for prefix id `pidx`, growing the table on demand.
-    fn send_slot(&mut self, pidx: usize) -> &mut SendState {
-        if self.send.len() <= pidx {
-            self.send.resize(pidx + 1, SendState::default());
-        }
-        &mut self.send[pidx]
-    }
 }
 
 /// One AS-level BGP speaker.
@@ -91,6 +144,8 @@ pub struct BgpNode {
     pub id: NodeId,
     pub asn: Asn,
     neighbors: Vec<NeighborState>,
+    /// MRAI and coalescing state per ⟨prefix, neighbor⟩.
+    send: SendTable,
     /// `peer NodeId → neighbor index`, sorted by peer for binary search.
     nbr_lookup: Vec<(NodeId, u32)>,
     /// Adj-RIB-In + Loc-RIB (see [`FlatRib`]).
@@ -123,6 +178,7 @@ impl BgpNode {
         BgpNode {
             id,
             asn,
+            send: SendTable::new(neighbors.len()),
             neighbors,
             nbr_lookup,
             rib: FlatRib::new(),
@@ -152,7 +208,6 @@ impl BgpNode {
             up: true,
             down_gen: 0,
             fwd_up: true,
-            send: Vec::new(),
         }
     }
 
@@ -298,9 +353,7 @@ impl BgpNode {
             if nbr.up {
                 nbr.up = false;
                 nbr.down_gen += 1;
-                for s in &mut nbr.send {
-                    s.pending = None;
-                }
+                self.send.column_mut(idx).for_each(SendSlot::cancel);
                 return true;
             }
         }
@@ -419,7 +472,7 @@ impl BgpNode {
         // The peer also lost everything we ever sent it. (No pending sends
         // survive here: they were dropped at failure time and none queue
         // while the session is down.)
-        self.neighbors[idx].send.clear();
+        self.reset_send_column(idx);
         changed
     }
 
@@ -446,8 +499,8 @@ impl BgpNode {
                 nbr.fwd_up = true;
                 self.fwd_version += 1;
             }
-            nbr.send.clear();
         }
+        self.reset_send_column(idx);
         // Sorted by prefix value for the same reason as in
         // `expire_session`: each export draws MRAI jitter from `rng`.
         let mut prefixes = std::mem::take(&mut self.scratch);
@@ -460,6 +513,11 @@ impl BgpNode {
         }
         prefixes.clear();
         self.scratch = prefixes;
+    }
+
+    /// Forgets everything sent to neighbor `idx`: the session starts over.
+    fn reset_send_column(&mut self, idx: usize) {
+        self.send.column_mut(idx).for_each(|s| *s = SendSlot::EMPTY);
     }
 
     /// Processes one incoming message. Returns whether the best route for
@@ -598,21 +656,21 @@ impl BgpNode {
         let Some(pidx) = self.rib.position(&prefix) else {
             return; // nothing was ever queued for an unknown prefix
         };
-        let nbr = &mut self.neighbors[idx];
+        let nbr = &self.neighbors[idx];
         if !nbr.up {
             return; // link died while the timer was pending
         }
-        let Some(slot) = nbr.send.get_mut(pidx) else {
+        let Some(slot) = self.send.get_mut(pidx, idx) else {
             return;
         };
-        match slot.pending {
-            Some(p) if p.gen == gen => {}
-            _ => return, // superseded or cancelled
+        if slot.pending_gen != gen {
+            return; // superseded or cancelled
         }
-        let p = slot.pending.take().expect("checked above");
-        let msg = match p.msg {
+        let pending = slot.pending_msg;
+        slot.cancel();
+        let msg = match pending {
             Some(w) => {
-                slot.last_announce = Some(now);
+                slot.last_announce = now.as_nanos();
                 slot.last_sent = Some(w);
                 Message::Update { prefix, route: w }
             }
@@ -620,7 +678,7 @@ impl BgpNode {
                 // Under per-peer update pacing (WRATE on) a withdrawal also
                 // restarts the pacing clock for the session, like any update.
                 if timing.withdrawal_rate_limiting {
-                    slot.last_announce = Some(now);
+                    slot.last_announce = now.as_nanos();
                 }
                 slot.last_sent = None;
                 Message::Withdraw { prefix }
@@ -862,7 +920,7 @@ impl BgpNode {
         let node_id = self.id;
         self.gen_counter += 1;
         let gen = self.gen_counter;
-        let nbr = &mut self.neighbors[idx];
+        let nbr = &self.neighbors[idx];
         if !nbr.up {
             // Nothing can be sent on a failed session; pending state was
             // cleared at failure time.
@@ -870,19 +928,20 @@ impl BgpNode {
         }
         let peer = nbr.peer;
         let session_mrai = nbr.session_mrai;
-        let slot = nbr.send_slot(pidx);
+        let slot = self.send.slot_mut(pidx, idx);
 
-        let effective: Option<&WireRoute> = match &slot.pending {
-            Some(p) => p.msg.as_ref(),
-            None => slot.last_sent.as_ref(),
+        let effective: Option<&WireRoute> = if slot.is_pending() {
+            slot.pending_msg.as_ref()
+        } else {
+            slot.last_sent.as_ref()
         };
         if desired.as_ref() == effective {
             return;
         }
         // Flapped back to what is already on the wire: cancel the pending
         // correction instead of sending a redundant message.
-        if slot.pending.is_some() && desired.as_ref() == slot.last_sent.as_ref() {
-            slot.pending = None;
+        if slot.is_pending() && desired.as_ref() == slot.last_sent.as_ref() {
+            slot.cancel();
             return;
         }
 
@@ -893,16 +952,15 @@ impl BgpNode {
             timing.withdraw_proc_delay(rng)
         };
         let mut fire_delay = proc;
-        if rate_limited {
-            if let Some(last) = slot.last_announce {
-                let mrai = timing.jittered_mrai(session_mrai, rng);
-                let ready = last + mrai;
-                if ready > now + proc {
-                    fire_delay = ready.since(now);
-                }
+        if rate_limited && slot.last_announce != NEVER {
+            let mrai = timing.jittered_mrai(session_mrai, rng);
+            let ready = SimTime::from_nanos(slot.last_announce) + mrai;
+            if ready > now + proc {
+                fire_delay = ready.since(now);
             }
         }
-        slot.pending = Some(Pending { msg: desired, gen });
+        slot.pending_gen = gen;
+        slot.pending_msg = desired;
         out.push((
             fire_delay,
             BgpEvent::Fire {
@@ -1680,5 +1738,184 @@ mod tests {
         assert!(n.fail_session_control(peer));
         assert!(!n.fail_session(peer));
         assert_eq!(n.forwarding_version(), 3);
+    }
+
+    /// Makes `n` originate `prefix` plainly.
+    fn originate(n: &mut BgpNode, prefix: Prefix, out: &mut Emitted) {
+        let (t, mut rng) = ctx();
+        n.originate(
+            SimTime::ZERO,
+            prefix,
+            OriginConfig::plain(),
+            &t,
+            &mut rng,
+            out,
+        );
+    }
+
+    /// Every `Fire` in `out`, as (neighbor, prefix, gen).
+    fn fires(out: &mut Emitted) -> Vec<(NodeId, Prefix, u64)> {
+        out.drain(..)
+            .filter_map(|(_, e)| match e {
+                BgpEvent::Fire {
+                    neighbor,
+                    prefix,
+                    gen,
+                    ..
+                } => Some((neighbor, prefix, gen)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Fires every timer in `fires`; returns the delivered messages as
+    /// (receiver, message).
+    fn fire_all(n: &mut BgpNode, fires: &[(NodeId, Prefix, u64)]) -> Vec<(NodeId, Message)> {
+        let (t, _) = ctx();
+        let mut sent = Vec::new();
+        for &(neighbor, prefix, gen) in fires {
+            n.fire(SimTime::ZERO, neighbor, prefix, gen, &t, &mut sent);
+        }
+        sent.into_iter()
+            .map(|(_, e)| match e {
+                BgpEvent::Deliver { to, msg, .. } => (to, msg),
+                other => panic!("fire emitted {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fail_session_control_cancels_only_that_neighbors_column() {
+        let mut n = test_node();
+        let mut out = Vec::new();
+        let (a, b) = (p("10.0.0.0/24"), p("10.0.1.0/24"));
+        originate(&mut n, a, &mut out);
+        originate(&mut n, b, &mut out);
+        let armed = fires(&mut out);
+        assert_eq!(armed.len(), 6, "two prefixes to three neighbors");
+        let peer = NodeId(2);
+        let col = n.nbr_pos(peer).unwrap();
+        assert!(n.fail_session_control(peer));
+        let nbrs = n.neighbors.len();
+        for (i, slot) in n.send.slots.iter().enumerate() {
+            assert_eq!(
+                slot.is_pending(),
+                i % nbrs != col,
+                "slot {i}: only column {col} is cancelled"
+            );
+        }
+        let sent = fire_all(&mut n, &armed);
+        let mut to: Vec<NodeId> = sent.iter().map(|(to, _)| *to).collect();
+        to.sort_unstable();
+        assert_eq!(to, [NodeId(1), NodeId(1), NodeId(3), NodeId(3)]);
+    }
+
+    #[test]
+    fn fire_armed_before_fail_expire_restore_is_a_noop() {
+        let mut n = test_node();
+        let (t, mut rng) = ctx();
+        let mut out = Vec::new();
+        let pre = p("10.0.0.0/24");
+        let peer = NodeId(2);
+        originate(&mut n, pre, &mut out);
+        let armed: Vec<_> = fires(&mut out)
+            .into_iter()
+            .filter(|f| f.0 == peer)
+            .collect();
+        assert_eq!(armed.len(), 1);
+        assert!(n.fail_session(peer));
+        assert!(n
+            .expire_session(SimTime::ZERO, peer, &t, &mut rng, &mut out)
+            .is_empty());
+        n.restore_session(SimTime::ZERO, peer, &t, &mut rng, &mut out);
+        let rearmed = fires(&mut out);
+        assert_eq!(rearmed.len(), 1, "restore re-exports the one route");
+        assert!(
+            fire_all(&mut n, &armed).is_empty(),
+            "the old timer is stale"
+        );
+        let sent = fire_all(&mut n, &rearmed);
+        assert_eq!(sent.len(), 1);
+        assert!(matches!(sent[0], (to, Message::Update { .. }) if to == peer));
+    }
+
+    #[test]
+    fn restore_reexports_each_best_route_exactly_once() {
+        let mut n = test_node();
+        let (t, mut rng) = ctx();
+        let mut out = Vec::new();
+        let (a, b, c) = (p("10.0.0.0/24"), p("10.0.1.0/24"), p("10.0.2.0/24"));
+        originate(&mut n, a, &mut out);
+        originate(&mut n, b, &mut out);
+        n.receive(
+            SimTime::ZERO,
+            NodeId(1),
+            Message::Update {
+                prefix: c,
+                route: wire(&[101, 9], NodeId(9)),
+            },
+            &t,
+            &mut rng,
+            &mut out,
+        );
+        let armed = fires(&mut out);
+        fire_all(&mut n, &armed);
+        let provider = NodeId(3);
+        assert!(n.fail_session(provider));
+        n.expire_session(SimTime::ZERO, provider, &t, &mut rng, &mut out);
+        out.clear();
+        n.restore_session(SimTime::ZERO, provider, &t, &mut rng, &mut out);
+        let rearmed = fires(&mut out);
+        let sent = fire_all(&mut n, &rearmed);
+        let mut prefixes: Vec<Prefix> = sent
+            .iter()
+            .map(|(to, msg)| {
+                assert_eq!(*to, provider);
+                assert!(matches!(msg, Message::Update { .. }), "{msg:?}");
+                msg.prefix()
+            })
+            .collect();
+        prefixes.sort_unstable();
+        assert_eq!(prefixes, [a, b, c], "one update per best route");
+        // A second restore of a live session sends nothing more.
+        n.restore_session(SimTime::ZERO, provider, &t, &mut rng, &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_prefix_interned_after_the_table_exists_gets_a_fresh_row() {
+        let mut n = test_node();
+        let (t, mut rng) = ctx();
+        let mut out = Vec::new();
+        let (a, b) = (p("10.0.0.0/24"), p("10.0.1.0/24"));
+        originate(&mut n, a, &mut out);
+        let armed = fires(&mut out);
+        fire_all(&mut n, &armed);
+        let nbrs = n.neighbors.len();
+        assert_eq!(n.send.slots.len(), nbrs, "one row");
+        // A prefix learned later (a new RIB id) adds one default row; the
+        // first row keeps what was sent.
+        n.receive(
+            SimTime::ZERO,
+            NodeId(1),
+            Message::Update {
+                prefix: b,
+                route: wire(&[101, 9], NodeId(9)),
+            },
+            &t,
+            &mut rng,
+            &mut out,
+        );
+        assert_eq!(n.send.slots.len(), 2 * nbrs, "two rows");
+        let (row_a, row_b) = n.send.slots.split_at(nbrs);
+        assert!(row_a
+            .iter()
+            .all(|s| s.last_sent.is_some() && !s.is_pending()));
+        for (idx, slot) in row_b.iter().enumerate() {
+            assert_eq!(slot.last_announce, NEVER, "column {idx}");
+            assert!(slot.last_sent.is_none(), "column {idx}");
+            // The supplier (column 0) is split-horizoned: still pristine.
+            assert_eq!(slot.is_pending(), idx != 0, "column {idx}");
+        }
     }
 }

@@ -582,11 +582,9 @@ impl Standalone {
         Standalone::with_queue_capacity(topo, timing, rng, 0)
     }
 
-    /// Like [`Standalone::new`] but with the engine queue preallocated for
-    /// `cap` pending events — feed back a comparable run's
-    /// [`peak_queue_depth`]. Allocation only; behavior is identical.
-    ///
-    /// [`peak_queue_depth`]: Standalone::peak_queue_depth
+    /// Like [`Standalone::new`] but with the engine queue's slab pages
+    /// reserved for `cap` pending events (see [`Engine::with_capacity`]).
+    /// Allocation only; behavior is identical.
     pub fn with_queue_capacity(
         topo: &Topology,
         timing: BgpTimingConfig,
@@ -627,7 +625,7 @@ impl Standalone {
         self.engine.peak_pending()
     }
 
-    /// Events the engine's hot queue lane can hold without reallocating
+    /// Pending events the engine queue's slab holds before it adds a page
     /// (see [`Engine::queue_capacity`]).
     pub fn queue_capacity(&self) -> usize {
         self.engine.queue_capacity()

@@ -687,12 +687,7 @@ fn cmd_catchment(opts: &Options) -> Result<String, String> {
             out.push_str("anycast catchment (clients per site):\n");
             // One converged anycast run, counted client by client.
             let rng = &tb.rng;
-            let mut sim = Standalone::with_queue_capacity(
-                &tb.topo,
-                BgpTimingConfig::instant(),
-                rng,
-                tb.queue_capacity_hint(),
-            );
+            let mut sim = Standalone::new(&tb.topo, BgpTimingConfig::instant(), rng);
             let prefix: Prefix = tb.cfg.plan.anycast_probe;
             for &s in tb.cdn.site_nodes() {
                 sim.announce(s, prefix, OriginConfig::plain());
@@ -743,12 +738,7 @@ fn cmd_catchment(opts: &Options) -> Result<String, String> {
 fn converged_world(opts: &Options) -> Result<(Testbed, Standalone), String> {
     let cfg = opts.config(None)?;
     let tb = Testbed::new(cfg);
-    let mut sim = Standalone::with_queue_capacity(
-        &tb.topo,
-        tb.cfg.timing.clone(),
-        &tb.rng,
-        tb.queue_capacity_hint(),
-    );
+    let mut sim = Standalone::new(&tb.topo, tb.cfg.timing.clone(), &tb.rng);
     let plan = tb.cfg.plan.clone();
     for &s in tb.cdn.site_nodes() {
         sim.announce(s, plan.anycast_probe, OriginConfig::plain());

@@ -57,12 +57,7 @@ fn control_cell(
     let plan = &cfg.plan;
     let site_node = cdn.node(site);
 
-    let mut sim = Standalone::with_queue_capacity(
-        topo,
-        cfg.timing.clone(),
-        &testbed.rng,
-        testbed.queue_capacity_hint(),
-    );
+    let mut sim = Standalone::new(topo, cfg.timing.clone(), &testbed.rng);
     // Measurement prefixes: unicast RTT probe from the site, anycast probe
     // from every site.
     sim.announce(site_node, plan.rtt_probe, OriginConfig::plain());
@@ -135,7 +130,6 @@ fn control_cell(
         frac_not_anycast_routed,
         steered,
     };
-    testbed.note_peak_queue_depth(sim.peak_queue_depth());
     let perf = CellPerf {
         events_processed: sim.events_processed(),
         peak_queue_depth: sim.peak_queue_depth(),

@@ -27,7 +27,6 @@ use bobw_topology::{generate, CdnDeployment, GenConfig, SiteId, Topology};
 use bobw_traffic::{Steering, Surge, TrafficConfig, TrafficSim, TrafficSummary};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::metrics::TargetOutcome;
 use crate::plan::AddressPlan;
@@ -170,12 +169,6 @@ pub struct Testbed {
     pub topo: Topology,
     pub cdn: CdnDeployment,
     pub rng: RngFactory,
-    /// High-water mark of event-queue depth over every cell run on this
-    /// testbed so far; later cells preallocate their queues to this depth.
-    /// Purely an allocation hint — results never depend on it (cells on the
-    /// same testbed are statistically alike, so one cell's peak is a good
-    /// starting capacity for the next).
-    queue_hint: AtomicUsize,
     /// Per-session MRAI values and per-node RNG streams, sampled once; each
     /// cell stamps its simulator out of this instead of re-deriving ~two
     /// RNG streams per session (`BgpSim::from_seed` is byte-identical to
@@ -193,24 +186,8 @@ impl Testbed {
             topo,
             cdn,
             rng,
-            queue_hint: AtomicUsize::new(0),
             bgp_seed,
         }
-    }
-
-    /// Starting capacity for the next cell's event queue (0 until a cell
-    /// has completed).
-    pub fn queue_capacity_hint(&self) -> usize {
-        self.queue_hint.load(Ordering::Relaxed)
-    }
-
-    /// Folds a finished cell's [`Engine::peak_pending`] into the hint.
-    /// Relaxed atomics: the hint is monotone and approximate by design —
-    /// racing cells at worst preallocate a little less.
-    ///
-    /// [`Engine::peak_pending`]: bobw_event::Engine::peak_pending
-    pub(crate) fn note_peak_queue_depth(&self, depth: usize) {
-        self.queue_hint.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Site id by paper name (`"sea1"`), panicking on typos.
@@ -659,9 +636,9 @@ pub struct CellPerf {
     pub events_processed: u64,
     /// High-water mark of the cell's event queue.
     pub peak_queue_depth: usize,
-    /// Final capacity of the queue's hot lane — shows whether the
-    /// high-water-mark preallocation actually avoided regrowth (capacity
-    /// at or near the hint means no reallocation happened).
+    /// Final capacity of the queue's slab: the pending events it could hold
+    /// without adding a page, i.e. the peak depth rounded up to whole
+    /// 1024-entry pages (see [`bobw_event::EventQueue::capacity`]).
     pub queue_capacity: usize,
     /// Host wall-clock time for the whole cell, in microseconds.
     pub wall_micros: u64,
@@ -722,7 +699,7 @@ fn run_cell(
         .compile(topo, cdn, &testbed.rng, failed)
         .map_err(|e| format!("scenario {:?}: {e}", scenario.name))?;
 
-    let mut engine: Engine<SimEvent> = Engine::with_capacity(testbed.queue_capacity_hint());
+    let mut engine: Engine<SimEvent> = Engine::new();
     let mut run = Run {
         topo,
         cdn,
@@ -924,7 +901,6 @@ fn run_cell(
             .as_ref()
             .map(|t| t.summary(run.probes.targets())),
     };
-    testbed.note_peak_queue_depth(engine.peak_pending());
     let perf = CellPerf {
         events_processed: engine.processed(),
         peak_queue_depth: engine.peak_pending(),
@@ -1381,26 +1357,23 @@ mod tests {
     }
 
     #[test]
-    fn queue_preallocation_hint_does_not_change_results() {
-        // A cold testbed (hint 0) and a warm one (hint fed by a previous
-        // cell) must produce byte-identical results — the hint is a pure
-        // allocation optimization.
-        let cold = quick_testbed();
-        let warm = quick_testbed();
-        let site = warm.site("bos");
-        assert_eq!(warm.queue_capacity_hint(), 0);
-        let (first, perf) = run_failover(&warm, &Technique::Anycast, site).expect("cell runs");
-        assert_eq!(
-            warm.queue_capacity_hint(),
-            perf.peak_queue_depth,
-            "the finished cell's peak must become the hint"
-        );
-        // Second run on the warm testbed starts with a preallocated queue.
-        let (second, _) = run_failover(&warm, &Technique::Anycast, site).expect("cell runs");
-        let (reference, _) = run_failover(&cold, &Technique::Anycast, site).expect("cell runs");
+    fn a_testbed_carries_no_state_between_cells() {
+        // A second cell on a testbed that already ran one must be
+        // byte-identical to the first and to a fresh testbed's cell: nothing
+        // a cell leaves behind may change the next one.
+        let used = quick_testbed();
+        let fresh = quick_testbed();
+        let site = used.site("bos");
+        let (first, _) = run_failover(&used, &Technique::Anycast, site).expect("cell runs");
+        let (second, perf) = run_failover(&used, &Technique::Anycast, site).expect("cell runs");
+        let (reference, _) = run_failover(&fresh, &Technique::Anycast, site).expect("cell runs");
         let dump = |r: &FailoverResult| format!("{r:?}");
         assert_eq!(dump(&second), dump(&first));
         assert_eq!(dump(&second), dump(&reference));
+        assert!(
+            perf.queue_capacity >= perf.peak_queue_depth,
+            "the slab held every pending event"
+        );
     }
 
     #[test]

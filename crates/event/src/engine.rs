@@ -74,11 +74,9 @@ impl<E> Engine<E> {
         }
     }
 
-    /// An engine whose queue is preallocated for `cap` pending events.
-    /// Feeding back a comparable run's [`peak_pending`] skips the heap's
-    /// doubling growth; scheduling order and results are unaffected.
-    ///
-    /// [`peak_pending`]: Engine::peak_pending
+    /// An engine whose queue reserves slab pages for `cap` pending events
+    /// up front (see [`EventQueue::with_capacity`]); scheduling order and
+    /// results are unaffected.
     pub fn with_capacity(cap: usize) -> Engine<E> {
         Engine {
             queue: EventQueue::with_capacity(cap),
@@ -88,7 +86,7 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Events the queue can hold without reallocating.
+    /// Pending events the queue's slab holds before it adds a page.
     pub fn queue_capacity(&self) -> usize {
         self.queue.capacity()
     }

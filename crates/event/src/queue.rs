@@ -11,15 +11,28 @@
 //!
 //! # Structure
 //!
-//! Two bucket levels plus two heaps:
+//! Every pending event lives in one queue-owned **slab**; the lanes below
+//! hold only slab indices:
 //!
+//! * **slab**: pages of 1024 entries (`at`, payload, and `seq` packed with a
+//!   24-bit link into one word), grown a page at a time and never moved or
+//!   shrunk. Popped entries go on an
+//!   intrusive free list and are reused by later pushes, so a queue that
+//!   has reached its working depth allocates nothing more.
 //! * **L0**: 1024 slots of 2^22 ns (≈4.2 ms) each — covers ≈4.3 s ahead.
 //! * **L1**: 1024 slots of 2^32 ns (≈4.3 s) each — covers ≈73 min ahead.
-//! * **overflow**: a min-heap for anything farther out (BGP timers never
-//!   get here; `FAR_FUTURE` sentinels would).
-//! * **ready**: a small min-heap holding events in the current L0 window
+//!   An L0/L1 slot is the head of an intrusive singly linked list threaded
+//!   through the slab entries' links: filing an event is two index writes,
+//!   and a slot costs 4 bytes whether it holds nothing or thousands.
+//! * **overflow**: a min-heap of keys for anything farther out (BGP timers
+//!   never get here; `FAR_FUTURE` sentinels would).
+//! * **ready**: a small min-heap of keys for events in the current L0 window
 //!   *and* any event pushed at or before the cursor (handlers scheduling
 //!   "now" land here directly).
+//!
+//! A heap key is 16 bytes: the event's time, then its insertion `seq` and
+//! its slab index packed into one word (`seq << 24 | index`). The payload
+//! never moves between lanes; only its index and key do.
 //!
 //! The cursor (`pos0`, an absolute L0 slot number — never wrapped, so there
 //! is no ambiguity between wheel cycles) advances only when `ready` drains:
@@ -35,10 +48,13 @@
 //! reproduction's byte-identity gates rely on: strictly by `(time, seq)`,
 //! where `seq` is the global insertion number — equal-time events pop FIFO.
 //! Buckets never reorder anything: a slot is drained in its entirety into
-//! the `ready` heap before any of its events pop, and the heap applies the
-//! same `(time, seq)` key the old implementation used. Every event, near or
-//! far, passes through `ready` exactly once; the win is that `ready` holds
-//! tens of events instead of the whole queue.
+//! the `ready` heap before any of its events pop, and the heap compares
+//! keys by `(time, seq << 24 | index)`. Since `seq` is unique and occupies
+//! the high bits, that is the `(time, seq)` order — the slab index in the
+//! low bits never decides a comparison, so which entry the free list hands
+//! out cannot change the processing order. Every event, near or far,
+//! passes through `ready` exactly once; the win is that `ready` holds tens
+//! of keys instead of the whole queue.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -56,10 +72,67 @@ const S0: u32 = 22;
 /// L1 granularity: 2^32 ns ≈ 4.3 s per slot.
 const S1: u32 = S0 + SLOT_BITS;
 
-struct Entry<E> {
+/// log2 of the slab entries per page.
+const PAGE_BITS: u32 = 10;
+/// Slab entries per page.
+const PAGE: usize = 1 << PAGE_BITS;
+/// Bits of a key's low word that hold the slab index (fewer than 2^24
+/// pending events), and of a slab entry's link word that hold the next
+/// index; the insertion sequence number takes the other 40 bits of both
+/// (2^40 pushes over a queue's lifetime).
+const INDEX_BITS: u32 = 24;
+/// Mask of the index bits.
+const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
+/// End of a slot list or of the free list; never a slab index.
+const NIL: u32 = INDEX_MASK as u32;
+
+/// One slab entry: a pending event, or a free entry (`payload == None`).
+struct Node<E> {
     at: SimTime,
-    seq: u64,
-    payload: E,
+    /// `seq << INDEX_BITS | next`, where `next` is the following entry in
+    /// the same L0/L1 slot list or in the free list. One word instead of
+    /// two keeps an entry at 16 bytes plus its payload.
+    link: u64,
+    payload: Option<E>,
+}
+
+impl<E> Node<E> {
+    fn next(&self) -> u32 {
+        (self.link & INDEX_MASK) as u32
+    }
+
+    fn set_next(&mut self, next: u32) {
+        self.link = (self.link & !INDEX_MASK) | next as u64;
+    }
+}
+
+/// A heap key: min by `(at, seq)`, with the slab index riding in the low
+/// bits of `tag` (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
+    at: u64,
+    /// `seq << INDEX_BITS | slab index`.
+    tag: u64,
+}
+
+impl Key {
+    fn index(self) -> u32 {
+        (self.tag & INDEX_MASK) as u32
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
+        // first.
+        (other.at, other.tag).cmp(&(self.at, self.tag))
+    }
 }
 
 /// Index of the first set bit at or after `start` in a [`SLOTS`]-bit map.
@@ -78,43 +151,114 @@ fn next_occupied(words: &[u64; SLOTS / 64], start: usize) -> Option<usize> {
     }
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+/// The pages every pending event lives in, plus their free list.
+struct Slab<E> {
+    pages: Vec<Box<[Node<E>]>>,
+    /// Head of the free list threaded through the entries' links.
+    free: u32,
 }
 
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl<E> Slab<E> {
+    fn node(&self, i: u32) -> &Node<E> {
+        &self.pages[(i >> PAGE_BITS) as usize][i as usize & (PAGE - 1)]
     }
-}
 
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. Payloads are never compared.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+    fn node_mut(&mut self, i: u32) -> &mut Node<E> {
+        &mut self.pages[(i >> PAGE_BITS) as usize][i as usize & (PAGE - 1)]
+    }
+
+    fn capacity(&self) -> usize {
+        self.pages.len() * PAGE
+    }
+
+    /// Adds one page and puts its entries on the free list.
+    fn grow(&mut self) {
+        let base = self.capacity();
+        assert!(
+            base + PAGE <= NIL as usize,
+            "event queue: slab indices exceed {INDEX_BITS} bits"
+        );
+        let free = self.free;
+        let page = (0..PAGE)
+            .map(|i| Node {
+                at: SimTime::ZERO,
+                link: if i + 1 < PAGE {
+                    (base + i + 1) as u64
+                } else {
+                    free as u64
+                },
+                payload: None,
+            })
+            .collect();
+        self.pages.push(page);
+        self.free = base as u32;
+    }
+
+    /// Stores an event in a free entry (adding a page if none is left) and
+    /// returns its index.
+    fn insert(&mut self, at: SimTime, seq: u64, payload: E) -> u32 {
+        if self.free == NIL {
+            self.grow();
+        }
+        let i = self.free;
+        let node = self.node_mut(i);
+        let next = node.next();
+        node.at = at;
+        node.link = seq << INDEX_BITS | NIL as u64;
+        node.payload = Some(payload);
+        self.free = next;
+        i
+    }
+
+    /// Takes the event out of entry `i` and frees the entry.
+    fn remove(&mut self, i: u32) -> E {
+        let free = self.free;
+        let node = self.node_mut(i);
+        node.set_next(free);
+        let payload = node.payload.take().expect("key points at a live entry");
+        self.free = i;
+        payload
+    }
+
+    fn key(&self, i: u32) -> Key {
+        let node = self.node(i);
+        Key {
+            at: node.at.as_nanos(),
+            tag: (node.link & !INDEX_MASK) | i as u64,
+        }
+    }
+
+    /// The keys of the slot list starting at `head`.
+    fn list_keys(&self, head: u32) -> impl Iterator<Item = Key> + '_ {
+        let mut cur = head;
+        std::iter::from_fn(move || {
+            (cur != NIL).then(|| {
+                let i = cur;
+                cur = self.node(i).next();
+                self.key(i)
+            })
+        })
     }
 }
 
 /// A deterministic future-event queue: min by `(time, insertion seq)`, so
 /// equal timestamps process FIFO. See the module docs for the wheel layout.
 pub struct EventQueue<E> {
+    slab: Slab<E>,
     /// Events at or before the cursor window, ordered by `(time, seq)`.
-    ready: BinaryHeap<Entry<E>>,
-    /// Fine level: slot `i & MASK` holds events with `at >> S0 == i`.
-    l0: Vec<Vec<Entry<E>>>,
+    ready: BinaryHeap<Key>,
+    /// Fine level: slot `i & MASK` heads the list of events with
+    /// `at >> S0 == i`.
+    l0: Vec<u32>,
     /// Occupancy bitmap over `l0` (bit `i` set ⇔ `l0[i]` non-empty), so the
     /// cursor can jump over empty stretches in a few word scans instead of
     /// stepping ~4.2 ms slots one by one (BGP delays are seconds apart).
     occ0: [u64; SLOTS / 64],
-    /// Coarse level: slot `j & MASK` holds events with `at >> S1 == j`.
-    l1: Vec<Vec<Entry<E>>>,
+    /// Coarse level: slot `j & MASK` heads the list of events with
+    /// `at >> S1 == j`.
+    l1: Vec<u32>,
     /// Beyond the L1 horizon (> ≈73 min ahead of the cursor).
-    overflow: BinaryHeap<Entry<E>>,
+    overflow: BinaryHeap<Key>,
     /// Absolute L0 slot number of the current window (monotone, unwrapped).
     pos0: u64,
     count0: usize,
@@ -134,15 +278,23 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// Creates a queue whose hot `ready` lane can hold `cap` events without
-    /// reallocating. Callers that know a run's high-water mark (the
-    /// experiment loop records one per cell) use this to avoid regrowth.
+    /// Creates a queue whose slab holds `cap` pending events (rounded up to
+    /// whole pages) before it adds a page. Allocation only: the order is
+    /// the same at any capacity.
     pub fn with_capacity(cap: usize) -> Self {
+        let mut slab = Slab {
+            pages: Vec::new(),
+            free: NIL,
+        };
+        while slab.capacity() < cap {
+            slab.grow();
+        }
         EventQueue {
-            ready: BinaryHeap::with_capacity(cap),
-            l0: (0..SLOTS).map(|_| Vec::new()).collect(),
+            slab,
+            ready: BinaryHeap::new(),
+            l0: vec![NIL; SLOTS],
             occ0: [0; SLOTS / 64],
-            l1: (0..SLOTS).map(|_| Vec::new()).collect(),
+            l1: vec![NIL; SLOTS],
             overflow: BinaryHeap::new(),
             pos0: 0,
             count0: 0,
@@ -152,9 +304,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Events the hot `ready` lane can hold before reallocating.
+    /// Pending events the slab can hold before it adds a page.
     pub fn capacity(&self) -> usize {
-        self.ready.capacity()
+        self.slab.capacity()
     }
 
     pub fn len(&self) -> usize {
@@ -168,31 +320,43 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` at absolute time `at`.
     pub fn push(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
+        assert!(
+            seq < 1 << (64 - INDEX_BITS),
+            "event queue: sequence numbers exhausted"
+        );
         self.next_seq += 1;
         self.len += 1;
-        self.place(Entry { at, seq, payload });
+        let i = self.slab.insert(at, seq, payload);
+        self.place(i);
     }
 
-    /// Files an entry into the right lane relative to the current cursor.
-    /// Also used when cascading, which is why it never touches `len`/`seq`.
-    fn place(&mut self, e: Entry<E>) {
-        let idx0 = e.at.as_nanos() >> S0;
+    /// Files slab entry `i` into the right lane relative to the current
+    /// cursor. Also used when cascading, which is why it never touches
+    /// `len`/`seq`.
+    fn place(&mut self, i: u32) {
+        let at = self.slab.node(i).at.as_nanos();
+        let idx0 = at >> S0;
         if idx0 <= self.pos0 {
             // Current window, or scheduled at/before the cursor (handlers
             // pushing "now"): heap-ordered with whatever is already ready.
-            self.ready.push(e);
+            self.ready.push(self.slab.key(i));
         } else if idx0 - self.pos0 < SLOTS as u64 {
             let slot = (idx0 & MASK) as usize;
-            self.l0[slot].push(e);
+            let head = self.l0[slot];
+            self.slab.node_mut(i).set_next(head);
+            self.l0[slot] = i;
             self.occ0[slot >> 6] |= 1 << (slot & 63);
             self.count0 += 1;
         } else {
-            let idx1 = e.at.as_nanos() >> S1;
+            let idx1 = at >> S1;
             if idx1 - (self.pos0 >> SLOT_BITS) < SLOTS as u64 {
-                self.l1[(idx1 & MASK) as usize].push(e);
+                let slot = (idx1 & MASK) as usize;
+                let head = self.l1[slot];
+                self.slab.node_mut(i).set_next(head);
+                self.l1[slot] = i;
                 self.count1 += 1;
             } else {
-                self.overflow.push(e);
+                self.overflow.push(self.slab.key(i));
             }
         }
     }
@@ -240,29 +404,32 @@ impl<E> EventQueue<E> {
                 // Only overflow events remain: jump the cursor straight to
                 // the earliest one (safe — every nearer lane is empty).
                 let at = self.overflow.peek().expect("len>0 with empty lanes").at;
-                self.pos0 = at.as_nanos() >> S0;
+                self.pos0 = at >> S0;
                 self.pull_overflow();
             }
         }
     }
 
-    /// Moves every event in L0 slot `slot` into `ready`, maintaining the
-    /// occupancy bitmap and count.
+    /// Moves the keys of every event in L0 slot `slot` into `ready`,
+    /// maintaining the occupancy bitmap and count.
     fn drain_l0_slot(&mut self, slot: usize) {
-        let bucket = &mut self.l0[slot];
-        self.count0 -= bucket.len();
+        let head = std::mem::replace(&mut self.l0[slot], NIL);
         self.occ0[slot >> 6] &= !(1 << (slot & 63));
-        self.ready.extend(bucket.drain(..));
+        let before = self.ready.len();
+        self.ready.extend(self.slab.list_keys(head));
+        self.count0 -= self.ready.len() - before;
     }
 
     /// Spills the L1 slot the cursor just entered down into L0/ready, and
     /// pulls overflow events that now fit the L1 horizon.
     fn cascade(&mut self) {
         let pos1 = self.pos0 >> SLOT_BITS;
-        let slot = std::mem::take(&mut self.l1[(pos1 & MASK) as usize]);
-        self.count1 -= slot.len();
-        for e in slot {
-            self.place(e);
+        let mut cur = std::mem::replace(&mut self.l1[(pos1 & MASK) as usize], NIL);
+        while cur != NIL {
+            let next = self.slab.node(cur).next();
+            self.count1 -= 1;
+            self.place(cur);
+            cur = next;
         }
         self.pull_overflow();
     }
@@ -270,23 +437,27 @@ impl<E> EventQueue<E> {
     fn pull_overflow(&mut self) {
         let pos1 = self.pos0 >> SLOT_BITS;
         while let Some(top) = self.overflow.peek() {
-            let idx1 = top.at.as_nanos() >> S1;
+            let idx1 = top.at >> S1;
             if idx1 <= pos1 || idx1 - pos1 < SLOTS as u64 {
-                let e = self.overflow.pop().expect("peeked non-empty");
-                self.place(e);
+                let key = self.overflow.pop().expect("peeked non-empty");
+                self.place(key.index());
             } else {
                 break;
             }
         }
     }
 
+    /// Pops the earliest ready key and returns its event.
+    fn take_ready(&mut self) -> Option<(SimTime, E)> {
+        let key = self.ready.pop()?;
+        self.len -= 1;
+        Some((SimTime::from_nanos(key.at), self.slab.remove(key.index())))
+    }
+
     /// Removes and returns the earliest event (FIFO among equal times).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.refill();
-        self.ready.pop().map(|e| {
-            self.len -= 1;
-            (e.at, e.payload)
-        })
+        self.take_ready()
     }
 
     /// Pops the earliest event only if it is scheduled exactly at `t`.
@@ -300,34 +471,36 @@ impl<E> EventQueue<E> {
         if self.ready.is_empty() {
             self.refill();
         }
-        if self.ready.peek()?.at != t {
+        if self.ready.peek()?.at != t.as_nanos() {
             return None;
         }
-        self.pop()
+        self.take_ready()
     }
 
     /// The timestamp of the earliest event, if any. Advances the internal
     /// cursor (never the event order), hence `&mut`.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.refill();
-        self.ready.peek().map(|e| e.at)
+        self.ready.peek().map(|k| SimTime::from_nanos(k.at))
     }
 
-    /// Drops all pending events. The cursor keeps its position so time
-    /// stays monotone for the owning engine.
+    /// Drops all pending events, keeping the slab's pages for reuse. The
+    /// cursor keeps its position so time stays monotone for the owning
+    /// engine.
     pub fn clear(&mut self) {
         self.ready.clear();
         self.overflow.clear();
-        if self.count0 > 0 {
-            for slot in &mut self.l0 {
-                slot.clear();
-            }
-        }
+        self.l0.fill(NIL);
+        self.l1.fill(NIL);
         self.occ0 = [0; SLOTS / 64];
-        if self.count1 > 0 {
-            for slot in &mut self.l1 {
-                slot.clear();
-            }
+        // Rebuild the free list over every entry, dropping live payloads.
+        self.slab.free = NIL;
+        for i in (0..self.slab.capacity() as u32).rev() {
+            let free = self.slab.free;
+            let node = self.slab.node_mut(i);
+            node.payload = None;
+            node.set_next(free);
+            self.slab.free = i;
         }
         self.count0 = 0;
         self.count1 = 0;

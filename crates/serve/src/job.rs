@@ -63,7 +63,8 @@ pub enum Scale {
     Quick,
     /// The paper-reproduction scale.
     Eval,
-    /// Double-size robustness check.
+    /// A double-size topology, meant as a robustness check. Unmeasured:
+    /// no CI job, documented run or benchmark workload uses it.
     Large,
 }
 
