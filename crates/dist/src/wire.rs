@@ -16,9 +16,11 @@
 //!   round-trip *exactly* — a requirement for byte-identical results;
 //! - `String`/`Vec` are a `u64` length followed by the elements;
 //! - `Option` is a presence byte followed by the value; `Box` is its value;
-//! - structs are their fields in declaration order (see [`wire_struct!`]);
+//! - structs are their fields in declaration order (see
+//!   [`wire_struct!`](crate::wire_struct!));
 //! - enums are a `u32` discriminant, the variant's declaration index,
-//!   followed by the variant's fields (see [`wire_enum!`]).
+//!   followed by the variant's fields (see
+//!   [`wire_enum!`](crate::wire_enum!)).
 //!
 //! Frames are `u32` little-endian payload length + payload, capped at
 //! [`MAX_FRAME`] so a corrupt or hostile peer cannot make the receiver

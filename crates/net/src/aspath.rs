@@ -12,14 +12,27 @@
 //! prefix is copied into thousands of Adj-RIB-Ins, but the distinct hop
 //! sequences number in the thousands at most. [`AsPath`] is therefore a
 //! copyable handle — a [`PathTable`] id plus the (hot) length — and
-//! propagation composes ids instead of cloning `Vec<Asn>`: `prepended` is a
-//! memoized `(base id, asn, count) → id` lookup, so the per-update hot path
-//! neither allocates nor copies hops.
+//! propagation composes ids instead of cloning `Vec<Asn>`.
 //!
-//! A table stores every path's hops back to back in one flat arena, with a
-//! `(start, len)` span per id and a hash-of-hops index, so a table that is
-//! cleared and reused allocates nothing once it has grown to the size of
-//! the largest cell it served.
+//! The table is hash-consed: each path is one cell `(nearest hop, id of the
+//! rest)`, and id 0 is the empty path. Every export prepends a hop to a path
+//! the exporter already holds, so a new path costs one 8-byte cell and paths
+//! sharing a tail share its cells. One `(rest, hop) → id` map is the whole
+//! index, and it stands in for what a flat table of hop copies needs five
+//! structures for:
+//!
+//! - the hop arena and the per-id `(start, len)` spans are the cells: a
+//!   path's hops are its chain, read nearest first;
+//! - the hash-of-hops index and its collision chain are the map: a cell's
+//!   key is the whole path, so equal paths meet in one entry;
+//! - the `(base, asn, count)` prepend memo is gone: prepending `count` hops
+//!   is `count` probes of the same map, and interning a slice folds its hops
+//!   in from the origin end.
+//!
+//! Readers walk the cells: `first`, `contains`, `origin` and `Display` copy
+//! nothing, and [`AsPath::with_hops`] lends the chain laid out in a buffer
+//! the table reuses. A table that is cleared and reused allocates nothing
+//! once it has grown to the size of the largest cell it served.
 //!
 //! # Scopes
 //!
@@ -51,13 +64,12 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::hash::Hasher;
 use std::marker::PhantomData;
 use std::rc::Rc;
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use crate::hash::{FastHashMap, FastHasher};
+use crate::hash::FastHashMap;
 
 /// An autonomous system number.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -79,27 +91,20 @@ impl fmt::Debug for Asn {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PathId(u32);
 
-/// End of a collision chain in [`PathTable::chain`].
-const NO_PATH: u32 = u32::MAX;
-
-/// The deduplicating path store: id ↔ hop-sequence, plus a composition memo
-/// so repeated prepends of the same base resolve without touching hops.
+/// The deduplicating path store: one `(hop, rest)` cell per path.
 ///
 /// The current table of this thread is reached through [`PathTable::with`];
 /// [`PathTable::scope`] gives a closure a table of its own (see the module
 /// docs).
 pub struct PathTable {
-    /// Every path's hops, back to back.
-    hops: Vec<Asn>,
-    /// id → `(start, len)` of its hops in `hops`. Entry 0 is always the
-    /// empty path.
-    spans: Vec<(u32, u32)>,
-    /// Hash of a hop sequence → the newest id with that hash.
-    index: FastHashMap<u64, u32>,
-    /// id → the next older id whose hops hash the same, or [`NO_PATH`].
-    chain: Vec<u32>,
-    /// `(base id, asn, count)` → id of `asn^count ++ base`.
-    compose: FastHashMap<(u32, u32, u16), u32>,
+    /// id → `(nearest hop, id of the rest of the path)`. Entry 0 is the
+    /// empty path; its cell is never read.
+    cells: Vec<(Asn, u32)>,
+    /// `(id of the rest, nearest hop)` → id: every cell's key, so a hop
+    /// sequence is interned once.
+    ids: FastHashMap<(u32, Asn), u32>,
+    /// Where [`hops`](Self::hops) lays a path out; kept for its capacity.
+    buf: Vec<Asn>,
     /// Which scope this table currently serves; the number [`AsPath`]s
     /// minted here carry.
     #[cfg(debug_assertions)]
@@ -118,13 +123,24 @@ thread_local! {
 #[cfg(debug_assertions)]
 static NEXT_SCOPE: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(1);
 
-fn hash_hops(hops: &[Asn]) -> u64 {
-    let mut h = FastHasher::default();
-    h.write_usize(hops.len());
-    for a in hops {
-        h.write_u32(a.0);
+/// The hops of one path, nearest first, read cell by cell.
+struct Hops<'a> {
+    cells: &'a [(Asn, u32)],
+    id: u32,
+}
+
+impl Iterator for Hops<'_> {
+    type Item = Asn;
+
+    #[inline]
+    fn next(&mut self) -> Option<Asn> {
+        if self.id == 0 {
+            return None;
+        }
+        let (hop, rest) = self.cells[self.id as usize];
+        self.id = rest;
+        Some(hop)
     }
-    h.finish()
 }
 
 /// Puts the caller's table back when a [`PathTable::scope`] ends, also when
@@ -143,11 +159,9 @@ impl Drop for RestoreOuter {
 impl PathTable {
     fn new() -> PathTable {
         let mut table = PathTable {
-            hops: Vec::new(),
-            spans: Vec::new(),
-            index: FastHashMap::default(),
-            chain: Vec::new(),
-            compose: FastHashMap::default(),
+            cells: Vec::new(),
+            ids: FastHashMap::default(),
+            buf: Vec::new(),
             #[cfg(debug_assertions)]
             scope: 0,
         };
@@ -158,12 +172,9 @@ impl PathTable {
     /// Empties the table down to the empty path and gives it a fresh scope
     /// number; every capacity is kept.
     fn clear(&mut self) {
-        self.hops.clear();
-        self.spans.clear();
-        self.index.clear();
-        self.chain.clear();
-        self.compose.clear();
-        self.push_span(0, hash_hops(&[]));
+        self.cells.clear();
+        self.ids.clear();
+        self.cells.push((Asn(0), 0));
         #[cfg(debug_assertions)]
         {
             self.scope = NEXT_SCOPE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -194,7 +205,7 @@ impl PathTable {
     /// Number of distinct hop sequences in this table, the empty path
     /// included.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.cells.len()
     }
 
     /// The table always holds at least the empty path.
@@ -202,77 +213,37 @@ impl PathTable {
         false
     }
 
-    /// Interns `hops`, returning the id of the canonical copy.
-    pub fn intern(&mut self, hops: &[Asn]) -> PathId {
-        self.intern_hashed(hops, hash_hops(hops))
-    }
-
-    /// [`intern`](Self::intern) with the hash supplied by the caller.
-    fn intern_hashed(&mut self, hops: &[Asn], hash: u64) -> PathId {
-        if let Some(id) = self.find(hops, hash) {
-            return id;
+    /// Id of `hop` followed by the path `rest`: one map probe, plus one
+    /// cell if the path is new to the table.
+    fn cons(&mut self, hop: Asn, rest: u32) -> u32 {
+        let next = u32::try_from(self.cells.len()).expect("path table exceeds u32 ids");
+        let id = *self.ids.entry((rest, hop)).or_insert(next);
+        if id == next {
+            self.cells.push((hop, rest));
         }
-        let start = self.hops.len();
-        self.hops.extend_from_slice(hops);
-        self.push_span(start, hash)
-    }
-
-    /// The id whose hops equal `hops`, following the collision chain of
-    /// `hash`.
-    fn find(&self, hops: &[Asn], hash: u64) -> Option<PathId> {
-        let mut id = *self.index.get(&hash)?;
-        while id != NO_PATH {
-            if self.hops(PathId(id)) == hops {
-                return Some(PathId(id));
-            }
-            id = self.chain[id as usize];
-        }
-        None
-    }
-
-    /// Registers the arena's tail from `start` on as a new path.
-    fn push_span(&mut self, start: usize, hash: u64) -> PathId {
-        let end = u32::try_from(self.hops.len()).expect("path arena exceeds u32 offsets");
-        let id = self.spans.len() as u32;
-        self.spans.push((start as u32, end - start as u32));
-        self.chain
-            .push(self.index.insert(hash, id).unwrap_or(NO_PATH));
-        PathId(id)
-    }
-
-    /// The hops behind `id`, nearest first.
-    pub fn hops(&self, id: PathId) -> &[Asn] {
-        let (start, len) = self.spans[id.0 as usize];
-        &self.hops[start as usize..(start + len) as usize]
-    }
-
-    /// Id of `asn` repeated `count` times, followed by the hops of `base`.
-    /// Memoized: the steady-state cost is one map lookup, no hop copies. A
-    /// miss writes the new sequence straight onto the arena's tail and
-    /// keeps it only if it is not already interned.
-    pub fn prepend(&mut self, base: PathId, asn: Asn, count: u16) -> PathId {
-        if count == 0 {
-            return base;
-        }
-        let key = (base.0, asn.0, count);
-        if let Some(&id) = self.compose.get(&key) {
-            return PathId(id);
-        }
-        let (start, len) = self.spans[base.0 as usize];
-        let tail = self.hops.len();
-        self.hops.extend(std::iter::repeat_n(asn, count as usize));
-        self.hops
-            .extend_from_within(start as usize..(start + len) as usize);
-        let hash = hash_hops(&self.hops[tail..]);
-        let id = match self.find(&self.hops[tail..], hash) {
-            Some(id) => {
-                self.hops.truncate(tail);
-                id
-            }
-            None => self.push_span(tail, hash),
-        };
-        self.compose.insert(key, id.0);
         id
+    }
+
+    /// Interns `hops` (nearest first), consing them on from the origin end.
+    pub fn intern(&mut self, hops: &[Asn]) -> PathId {
+        PathId(hops.iter().rev().fold(0, |rest, &hop| self.cons(hop, rest)))
+    }
+
+    /// The hops behind `id`, nearest first, laid out in a buffer the table
+    /// reuses.
+    pub fn hops(&mut self, id: PathId) -> &[Asn] {
+        self.buf.clear();
+        self.buf.extend(Hops {
+            cells: &self.cells,
+            id: id.0,
+        });
+        &self.buf
+    }
+
+    /// Id of `asn` repeated `count` times, followed by the hops of `base`:
+    /// `count` conses.
+    pub fn prepend(&mut self, base: PathId, asn: Asn, count: u16) -> PathId {
+        PathId((0..count).fold(base.0, |rest, _| self.cons(asn, rest)))
     }
 }
 
@@ -332,6 +303,17 @@ impl AsPath {
         );
     }
 
+    /// Runs `f` over the hops, nearest first, read straight from the cells.
+    fn walk<R>(&self, f: impl FnOnce(Hops<'_>) -> R) -> R {
+        PathTable::with(|t| {
+            self.check_scope(t);
+            f(Hops {
+                cells: &t.cells,
+                id: self.id.0,
+            })
+        })
+    }
+
     /// The empty path (a route at its origin, before any export).
     pub fn empty() -> AsPath {
         // Slot 0 of every table is the empty path; no table access needed.
@@ -355,8 +337,7 @@ impl AsPath {
         })
     }
 
-    /// Builds a path from explicit hops, nearest first. Interns the slice
-    /// directly: no copy is made unless the sequence is new to the table.
+    /// Builds a path from explicit hops, nearest first.
     pub fn from_hops(hops: &[Asn]) -> AsPath {
         PathTable::with(|t| {
             let id = t.intern(hops);
@@ -384,10 +365,10 @@ impl AsPath {
 
     /// The hops, nearest first, copied out of the table.
     pub fn hops(&self) -> Vec<Asn> {
-        self.with_hops(<[Asn]>::to_vec)
+        self.walk(|h| h.collect())
     }
 
-    /// Runs `f` over the hop slice without copying.
+    /// Runs `f` over the hop slice, laid out in the table's reused buffer.
     pub fn with_hops<R>(&self, f: impl FnOnce(&[Asn]) -> R) -> R {
         PathTable::with(|t| {
             self.check_scope(t);
@@ -397,18 +378,18 @@ impl AsPath {
 
     /// The origin AS (last hop), if any.
     pub fn origin(&self) -> Option<Asn> {
-        self.with_hops(|h| h.last().copied())
+        self.walk(|h| h.last())
     }
 
     /// The neighbor AS that sent us the route (first hop), if any.
     pub fn first(&self) -> Option<Asn> {
-        self.with_hops(|h| h.first().copied())
+        self.walk(|mut h| h.next())
     }
 
     /// Does the path contain `asn`? Used for loop detection on import:
     /// a router discards routes already carrying its own ASN.
     pub fn contains(&self, asn: Asn) -> bool {
-        self.with_hops(|h| h.contains(&asn))
+        self.walk(|mut h| h.any(|a| a == asn))
     }
 
     /// Returns a new path with `asn` prepended `count` times. `count == 0`
@@ -429,10 +410,10 @@ impl AsPath {
     /// Appendix C.1 compares unicast and anycast paths; distinct-hop length
     /// is the meaningful quantity when paths carry different prepend counts.
     pub fn distinct_len(&self) -> usize {
-        self.with_hops(|hops| {
+        self.walk(|hops| {
             let mut n = 0;
             let mut prev: Option<Asn> = None;
-            for &h in hops {
+            for h in hops {
                 if prev != Some(h) {
                     n += 1;
                     prev = Some(h);
@@ -445,14 +426,12 @@ impl AsPath {
 
 impl fmt::Display for AsPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.with_hops(|hops| {
-            let mut first = true;
-            for h in hops {
-                if !first {
+        self.walk(|hops| {
+            for (i, h) in hops.enumerate() {
+                if i > 0 {
                     write!(f, " ")?;
                 }
                 write!(f, "{}", h.0)?;
-                first = false;
             }
             Ok(())
         })
@@ -470,7 +449,7 @@ impl fmt::Debug for AsPath {
 // Ids never serialize; deserialization re-interns on the reading thread.
 impl Serialize for AsPath {
     fn to_value(&self) -> Value {
-        let hops = self.with_hops(|h| h.iter().map(|a| Value::UInt(a.0 as u64)).collect());
+        let hops = self.walk(|h| h.map(|a| Value::UInt(a.0 as u64)).collect());
         Value::Object(vec![(String::from("hops"), Value::Array(hops))])
     }
 }
@@ -562,40 +541,41 @@ mod tests {
     }
 
     #[test]
-    fn colliding_hashes_chain_to_distinct_paths() {
+    fn a_shared_tail_adds_one_cell_per_new_hop() {
         PathTable::scope(|| {
             PathTable::with(|t| {
-                // Force three different sequences under one hash value.
-                let hash = 0xdead_beef;
-                let a = t.intern_hashed(&[Asn(1), Asn(2)], hash);
-                let b = t.intern_hashed(&[Asn(3)], hash);
-                let c = t.intern_hashed(&[Asn(4), Asn(4), Asn(5)], hash);
-                assert_eq!(t.len(), 4);
-                assert!(a != b && b != c && a != c);
-                // Each lookup walks the chain to its own entry, newest first.
-                assert_eq!(t.intern_hashed(&[Asn(1), Asn(2)], hash), a);
-                assert_eq!(t.intern_hashed(&[Asn(3)], hash), b);
-                assert_eq!(t.intern_hashed(&[Asn(4), Asn(4), Asn(5)], hash), c);
-                assert_eq!(t.len(), 4, "re-interning adds nothing");
-                assert_eq!(t.hops(a), &[Asn(1), Asn(2)]);
-                assert_eq!(t.hops(b), &[Asn(3)]);
-                assert_eq!(t.hops(c), &[Asn(4), Asn(4), Asn(5)]);
-                assert_eq!(t.find(&[Asn(9)], hash), None);
+                let long = t.intern(&[Asn(3), Asn(2), Asn(1)]);
+                assert_eq!(t.len(), 4, "the empty path plus one cell per hop");
+                // `[5, 4]` on the tail `[2, 1]` already held: two new cells.
+                let branch = t.intern(&[Asn(5), Asn(4), Asn(2), Asn(1)]);
+                assert_eq!(t.len(), 6);
+                // A suffix of an interned path is interned already.
+                let tail = t.intern(&[Asn(2), Asn(1)]);
+                assert_eq!(t.len(), 6, "re-interning a suffix adds nothing");
+                assert_eq!(t.intern(&[Asn(3), Asn(2), Asn(1)]), long);
+                assert!(long != branch && branch != tail && long != tail);
+                assert_eq!(t.hops(branch), &[Asn(5), Asn(4), Asn(2), Asn(1)]);
+                assert_eq!(t.hops(tail), &[Asn(2), Asn(1)]);
             })
         });
     }
 
     #[test]
-    fn prepend_of_an_interned_sequence_reuses_its_id() {
+    fn a_count_three_prepend_adds_three_cells() {
         PathTable::scope(|| {
             PathTable::with(|t| {
-                let direct = t.intern(&[Asn(2), Asn(2), Asn(1)]);
-                let arena = t.hops.len();
                 let base = t.intern(&[Asn(1)]);
-                let arena_with_base = t.hops.len();
-                assert_eq!(arena_with_base, arena + 1);
-                assert_eq!(t.prepend(base, Asn(2), 2), direct);
-                assert_eq!(t.hops.len(), arena_with_base, "the probe tail is dropped");
+                assert_eq!(t.len(), 2);
+                let prepended = t.prepend(base, Asn(2), 3);
+                assert_eq!(t.len(), 5);
+                assert_eq!(
+                    t.prepend(base, Asn(2), 3),
+                    prepended,
+                    "a repeat adds nothing"
+                );
+                assert_eq!(t.intern(&[Asn(2), Asn(2), Asn(2), Asn(1)]), prepended);
+                assert_eq!(t.len(), 5);
+                assert_eq!(t.prepend(base, Asn(2), 0), base);
             })
         });
     }

@@ -2,8 +2,8 @@
 //!
 //! `std`'s default SipHash is DoS-resistant but costs tens of nanoseconds
 //! per lookup — noticeable when a map sits on the per-update hot path (the
-//! AS-path composition memo is hit once per export decision). Simulator
-//! tables are keyed by internal ids and fixed-size tuples, never by
+//! AS-path table's `(rest, hop)` map is probed once per exported hop).
+//! Simulator tables are keyed by internal ids and fixed-size tuples, never by
 //! attacker-controlled input, so a multiply-xor hash in the FxHash family
 //! is safe and several times faster.
 //!

@@ -1,8 +1,9 @@
 //! A reused path table allocates nothing in steady state: once one scope
-//! has grown the arena, the index and the composition memo, a second scope
-//! that interns and prepends the same paths makes no allocator call. A
-//! counting global allocator tallies alloc and realloc calls made on the
-//! test's own thread.
+//! has grown its cells and its index, a second scope that interns and
+//! prepends the same paths makes no allocator call. And a cold table keeps
+//! a few dozen bytes per entry, not a copy of every path's hops. A counting
+//! global allocator tallies the alloc and realloc calls made on the test's
+//! own thread, and the bytes they leave live.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -11,27 +12,34 @@ use bobw_net::{AsPath, Asn, PathTable};
 
 thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
-fn count() {
+/// Tallies one allocator call that changes this thread's live bytes by
+/// `bytes`; a free is not a call but does change the bytes.
+fn count(call: bool, bytes: isize) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    if call {
+        let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    }
+    let _ = LIVE_BYTES.try_with(|b| b.set(b.get() + bytes));
 }
 
 struct Counting;
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(true, layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(false, -(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(true, new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,6 +49,10 @@ static GLOBAL: Counting = Counting;
 
 fn calls() -> u64 {
     CALLS.with(Cell::get)
+}
+
+fn live_bytes() -> isize {
+    LIVE_BYTES.with(Cell::get)
 }
 
 /// A few thousand paths of one to eight hops over a small ASN universe, so
@@ -94,5 +106,38 @@ fn a_warm_scope_makes_no_allocator_call() {
     assert_eq!(
         steady_calls, 0,
         "allocator calls in a warm scope (warm-up made {warm_up_calls})"
+    );
+}
+
+/// A table entry is one 8-byte cell plus one slot of the `(rest, hop)`
+/// map, so a cold scope's table stays within 48 bytes an entry even right
+/// after its map has doubled. A table that copies each path's hops costs
+/// several times that.
+#[test]
+fn a_cold_scope_keeps_at_most_48_bytes_per_table_entry() {
+    const BUDGET: usize = 48;
+    let paths = sample_paths();
+    // A fresh thread, so no earlier scope on it left a grown table behind.
+    let (bytes, entries) = std::thread::spawn(move || {
+        let before = live_bytes();
+        PathTable::scope(|| {
+            cell(&paths);
+            (
+                (live_bytes() - before) as usize,
+                PathTable::with(|t| t.len()),
+            )
+        })
+    })
+    .join()
+    .unwrap();
+    assert!(
+        entries > 3000,
+        "the sample fills the table ({entries} entries)"
+    );
+    assert!(
+        bytes <= BUDGET * entries,
+        "a cold scope keeps {bytes} B live for {entries} table entries \
+         ({} B each, budget {BUDGET})",
+        bytes / entries
     );
 }

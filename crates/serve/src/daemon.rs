@@ -4,7 +4,8 @@
 //! unchanged `bobw_dist` protocol and are handed to the coordinator's
 //! [`WorkerPort`]) and *clients* (which submit jobs, watch results, and
 //! query the metrics plane). The first frame of every connection is the
-//! coordinator's [`Challenge`]; the peer's `Greeting` then classifies it.
+//! coordinator's [`Challenge`](bobw_dist::proto::Challenge); the peer's
+//! `Greeting` then classifies it.
 //!
 //! One scheduler thread owns a detached [`Coordinator`] and drains the
 //! job queue FIFO. Each completed cell lands in an index-keyed slot of
